@@ -123,7 +123,9 @@ type Env struct {
 type Platform struct {
 	host *core.Host
 	env  Env
-	rng  *rand.Rand
+	// rng is created from env.Seed on the first draw (see random): a source
+	// costs about 5 KB and most platforms never draw from it.
+	rng *rand.Rand
 
 	nextID   int64
 	resident int
@@ -149,9 +151,18 @@ func NewPlatform(h *core.Host, env Env) *Platform {
 	if env.MaxHops <= 0 {
 		env.MaxHops = 256
 	}
-	p := &Platform{host: h, env: env, rng: rand.New(rand.NewSource(env.Seed))}
+	p := &Platform{host: h, env: env}
 	h.SetAgentHandler(p.onArrival)
 	return p
+}
+
+// random returns the platform's PRNG, seeding it on first use. The draw
+// sequence is the one an eagerly seeded source would give.
+func (p *Platform) random() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.env.Seed))
+	}
+	return p.rng
 }
 
 // Host returns the kernel host this platform runs on.

@@ -100,7 +100,7 @@ func sharedAgentTable() *vm.HostTable {
 				if args[0] <= 0 {
 					return m.Ret1(0), 0, nil
 				}
-				return m.Ret1(actOf(m).p.rng.Int63n(args[0])), 0, nil
+				return m.Ret1(actOf(m).p.random().Int63n(args[0])), 0, nil
 			},
 		})
 		t.Register(vm.HostFunc{
@@ -239,7 +239,7 @@ func agentHostTable(act *activation) *vm.HostTable {
 			if args[0] <= 0 {
 				return []int64{0}, 0, nil
 			}
-			return []int64{p.rng.Int63n(args[0])}, 0, nil
+			return []int64{p.random().Int63n(args[0])}, 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
@@ -307,7 +307,7 @@ func (p *Platform) pickNeighbor(dest, prev string) string {
 	if len(candidates) == 0 {
 		candidates = neighbors // only way back is through prev
 	}
-	return candidates[p.rng.Intn(len(candidates))]
+	return candidates[p.random().Intn(len(candidates))]
 }
 
 func b2i(b bool) int64 {

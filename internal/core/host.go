@@ -161,8 +161,9 @@ type Host struct {
 type pendingReq struct {
 	// peer is the address the request was sent to; replies from anyone
 	// else are ignored (a peer cannot answer another peer's request).
-	peer   string
-	cb     func(ok bool, errMsg string, payload *reader)
+	peer string
+	cb   replyFunc
+	// cancel stops the timeout; nil until the send succeeded and arm ran.
 	cancel func()
 }
 
@@ -293,7 +294,9 @@ func (h *Host) Close() error {
 	h.pending = make(map[uint64]*pendingReq)
 	h.mu.Unlock()
 	for _, p := range pending {
-		p.cancel()
+		if p.cancel != nil { // nil until the request's send succeeded
+			p.cancel()
+		}
 		p.cb(false, "host closed", nil)
 	}
 	return h.kch.Close()

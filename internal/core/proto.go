@@ -27,10 +27,42 @@ const (
 	msgPublishReply
 )
 
-// newRequest allocates a request ID and registers its reply callback with a
-// timeout. The callback fires exactly once.
-func (h *Host) newRequest(peer string, cb func(ok bool, errMsg string, payload *reader)) uint64 {
+// replyFunc receives a request's outcome: the remote's reply, a timeout or
+// the host closing. It fires at most once.
+type replyFunc func(ok bool, errMsg string, payload *reader)
+
+// request is the one send path of Call, Eval, Fetch, SendAgent and
+// PublishTo: register the reply callback under a fresh ID, send the frame
+// (kind, ID, then whatever body writes), and only once the send succeeded
+// arm the timeout. A send that fails therefore leaves no timer behind; its
+// error is a *sendError whose text is formatted only if someone reads it.
+// If the request stopped being pending before its send failed (the host
+// closed meanwhile and already failed cb), request returns nil, so cb and
+// the caller's error report never both fire. Over TCP the timeout counts
+// from the send's return, so a slow dial does not eat into it.
+func (h *Host) request(kind byte, peer, subject string, cb replyFunc, body func(b *wire.Buffer)) error {
+	id := h.register(peer, cb)
+	b := wire.GetBuffer()
+	b.PutByte(kind)
+	b.PutUint(id)
+	body(b)
+	err := h.kch.Send(peer, b.Bytes())
+	wire.PutBuffer(b)
+	if err != nil {
+		if !h.abandon(id) {
+			return nil
+		}
+		return &sendError{kind: kind, peer: peer, subject: subject, err: err}
+	}
+	h.arm(id)
+	return nil
+}
+
+// register allocates a request ID and records its reply callback. The
+// timeout is armed separately (arm), after the request is on the wire.
+func (h *Host) register(peer string, cb replyFunc) uint64 {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.nextReq++
 	id := h.nextReq
 	var p *pendingReq
@@ -42,28 +74,40 @@ func (h *Host) newRequest(peer string, cb func(ok bool, errMsg string, payload *
 	} else {
 		p = &pendingReq{peer: peer, cb: cb}
 	}
-	p.cancel = h.sched.After(h.requestTimeout, func() {
-		h.mu.Lock()
-		p2, live := h.pending[id]
-		if live {
-			delete(h.pending, id)
-			h.stats.Timeouts++
-		}
-		h.mu.Unlock()
-		if live {
-			cb2 := p2.cb
-			h.putReq(p2)
-			cb2(false, ErrTimeout.Error(), nil)
-		}
-	})
 	h.pending[id] = p
-	h.mu.Unlock()
 	return id
 }
 
+// arm starts request id's timeout. Over TCP the reply can land on a reader
+// goroutine between the send and this call; resolve has then already
+// removed the request, and no timer is armed for it.
+func (h *Host) arm(id uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if p, live := h.pending[id]; live {
+		p.cancel = h.sched.After(h.requestTimeout, func() { h.expire(id) })
+	}
+}
+
+// expire fails request id with ErrTimeout if it is still pending.
+func (h *Host) expire(id uint64) {
+	h.mu.Lock()
+	p, live := h.pending[id]
+	if live {
+		delete(h.pending, id)
+		h.stats.Timeouts++
+	}
+	h.mu.Unlock()
+	if live {
+		cb := p.cb
+		h.putReq(p)
+		cb(false, ErrTimeout.Error(), nil)
+	}
+}
+
 // putReq recycles a request record once it has been removed from pending and
-// no path can touch it again (the timeout closure rechecks pending under the
-// lock, so a recycled record is never reached through a stale timer).
+// no path can touch it again (the timeout looks the ID up in pending under
+// the lock, so a recycled record is never reached through a stale timer).
 func (h *Host) putReq(p *pendingReq) {
 	p.peer, p.cb, p.cancel = "", nil, nil
 	h.mu.Lock()
@@ -92,13 +136,17 @@ func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, payload *
 	}
 	cancel, cb := p.cancel, p.cb
 	h.putReq(p)
-	cancel()
+	if cancel != nil { // nil when the reply beat arm
+		cancel()
+	}
 	cb(ok, errMsg, payload)
 }
 
-// abandon cancels a pending request without invoking its callback, for use
-// on the send-failure path where the caller reports the error itself.
-func (h *Host) abandon(id uint64) {
+// abandon drops a pending request without invoking its callback, for the
+// send-failure path where the caller reports the error itself. It reports
+// whether the request was still pending. No timer is armed before the send
+// succeeds, so there is none to cancel.
+func (h *Host) abandon(id uint64) bool {
 	h.mu.Lock()
 	p, live := h.pending[id]
 	if live {
@@ -106,11 +154,38 @@ func (h *Host) abandon(id uint64) {
 	}
 	h.mu.Unlock()
 	if live {
-		cancel := p.cancel
 		h.putReq(p)
-		cancel()
+	}
+	return live
+}
+
+// sendError reports a request whose frame the transport refused. Unwrap
+// returns the transport's error (e.g. a *netsim.ErrUnreachable); the text is
+// built only when Error is called, since a crowd's failed fetches are
+// mostly counted, not printed.
+type sendError struct {
+	kind    byte   // msgCall, msgEval, msgFetch, msgAgent or msgPublish
+	peer    string // the addressed host
+	subject string // service (call) or unit name (fetch); "" otherwise
+	err     error
+}
+
+func (e *sendError) Error() string {
+	switch e.kind {
+	case msgCall:
+		return fmt.Sprintf("core: call %s at %s: %v", e.subject, e.peer, e.err)
+	case msgEval:
+		return fmt.Sprintf("core: eval at %s: %v", e.peer, e.err)
+	case msgFetch:
+		return fmt.Sprintf("core: fetch %s from %s: %v", e.subject, e.peer, e.err)
+	case msgAgent:
+		return fmt.Sprintf("core: send agent to %s: %v", e.peer, e.err)
+	default:
+		return fmt.Sprintf("core: publish to %s: %v", e.peer, e.err)
 	}
 }
+
+func (e *sendError) Unwrap() error { return e.err }
 
 // remoteErr converts a reply's error string into a kernel error.
 func remoteErr(msg string) error {
@@ -136,7 +211,7 @@ func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte,
 	h.mu.Lock()
 	h.stats.CallsSent++
 	h.mu.Unlock()
-	id := h.newRequest(to, func(ok bool, errMsg string, r *reader) {
+	err := h.request(msgCall, to, service, func(ok bool, errMsg string, r *reader) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -151,19 +226,15 @@ func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte,
 			return
 		}
 		cb(results, nil)
+	}, func(b *wire.Buffer) {
+		b.PutString(service)
+		b.PutUint(uint64(len(args)))
+		for _, a := range args {
+			b.PutBytes(a)
+		}
 	})
-	b := wire.GetBuffer()
-	defer wire.PutBuffer(b)
-	b.PutByte(msgCall)
-	b.PutUint(id)
-	b.PutString(service)
-	b.PutUint(uint64(len(args)))
-	for _, a := range args {
-		b.PutBytes(a)
-	}
-	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		h.abandon(id)
-		cb(nil, fmt.Errorf("core: call %s at %s: %w", service, to, err))
+	if err != nil {
+		cb(nil, err)
 	}
 }
 
@@ -174,7 +245,7 @@ func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb fu
 	h.mu.Lock()
 	h.stats.EvalsSent++
 	h.mu.Unlock()
-	id := h.newRequest(to, func(ok bool, errMsg string, r *reader) {
+	err := h.request(msgEval, to, "", func(ok bool, errMsg string, r *reader) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -189,20 +260,16 @@ func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb fu
 			return
 		}
 		cb(stack, nil)
+	}, func(b *wire.Buffer) {
+		b.PutPacked(unit)
+		b.PutString(entry)
+		b.PutUint(uint64(len(args)))
+		for _, a := range args {
+			b.PutInt(a)
+		}
 	})
-	b := wire.GetBuffer()
-	defer wire.PutBuffer(b)
-	b.PutByte(msgEval)
-	b.PutUint(id)
-	b.PutPacked(unit)
-	b.PutString(entry)
-	b.PutUint(uint64(len(args)))
-	for _, a := range args {
-		b.PutInt(a)
-	}
-	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		h.abandon(id)
-		cb(nil, fmt.Errorf("core: eval at %s: %w", to, err))
+	if err != nil {
+		cb(nil, err)
 	}
 }
 
@@ -212,7 +279,7 @@ func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err err
 	h.mu.Lock()
 	h.stats.FetchesSent++
 	h.mu.Unlock()
-	id := h.newRequest(from, func(ok bool, errMsg string, r *reader) {
+	err := h.request(msgFetch, from, name, func(ok bool, errMsg string, r *reader) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -239,16 +306,12 @@ func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err err
 		h.stats.FetchesOK++
 		h.mu.Unlock()
 		cb(u, nil)
+	}, func(b *wire.Buffer) {
+		b.PutString(name)
+		b.PutString(minVersion)
 	})
-	b := wire.GetBuffer()
-	defer wire.PutBuffer(b)
-	b.PutByte(msgFetch)
-	b.PutUint(id)
-	b.PutString(name)
-	b.PutString(minVersion)
-	if err := h.kch.Send(from, b.Bytes()); err != nil {
-		h.abandon(id)
-		cb(nil, fmt.Errorf("core: fetch %s from %s: %w", name, from, err))
+	if err != nil {
+		cb(nil, err)
 	}
 }
 
@@ -322,21 +385,8 @@ func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
 	h.mu.Lock()
 	h.stats.AgentsSent++
 	h.mu.Unlock()
-	id := h.newRequest(to, func(ok bool, errMsg string, r *reader) {
-		if !ok {
-			cb(remoteErr(errMsg))
-			return
-		}
-		cb(nil)
-	})
-	b := wire.GetBuffer()
-	defer wire.PutBuffer(b)
-	b.PutByte(msgAgent)
-	b.PutUint(id)
-	b.PutPacked(unit)
-	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		h.abandon(id)
-		cb(fmt.Errorf("core: send agent to %s: %w", to, err))
+	if err := h.request(msgAgent, to, "", ackFunc(cb), func(b *wire.Buffer) { b.PutPacked(unit) }); err != nil {
+		cb(err)
 	}
 }
 
@@ -349,21 +399,20 @@ func (h *Host) PublishTo(to string, unit *lmu.Unit, cb func(err error)) {
 	h.mu.Lock()
 	h.stats.PublishesSent++
 	h.mu.Unlock()
-	id := h.newRequest(to, func(ok bool, errMsg string, r *reader) {
+	if err := h.request(msgPublish, to, "", ackFunc(cb), func(b *wire.Buffer) { b.PutPacked(unit) }); err != nil {
+		cb(err)
+	}
+}
+
+// ackFunc adapts a plain error callback to a reply whose only content is
+// the remote's verdict (agent transfers and publishes).
+func ackFunc(cb func(err error)) replyFunc {
+	return func(ok bool, errMsg string, _ *reader) {
 		if !ok {
 			cb(remoteErr(errMsg))
 			return
 		}
 		cb(nil)
-	})
-	b := wire.GetBuffer()
-	defer wire.PutBuffer(b)
-	b.PutByte(msgPublish)
-	b.PutUint(id)
-	b.PutPacked(unit)
-	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		h.abandon(id)
-		cb(fmt.Errorf("core: publish to %s: %w", to, err))
 	}
 }
 

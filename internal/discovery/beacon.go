@@ -160,7 +160,7 @@ func (b *Beacon) handle(from string, payload []byte) {
 		return
 	}
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		ad := decodeAd(r)
+		ad := decodeAd(r, from)
 		if r.Err() == nil && ad.Service != "" {
 			b.cache.put(ad)
 		}

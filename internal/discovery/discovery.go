@@ -38,15 +38,24 @@ func (a *Ad) encode(b *wire.Buffer) {
 	b.PutInt(int64(a.TTL))
 }
 
-// decodeAd interns the service and provider names: a beaconing field
-// re-decodes the same few strings from every neighbor on every tick.
-func decodeAd(r *wire.Reader) Ad {
-	return Ad{
-		Service:  r.InternString(),
-		Provider: r.InternString(),
-		Attrs:    r.StringMap(),
-		TTL:      time.Duration(r.Int()),
+// decodeAd decodes one advertisement sent by from without allocating its
+// names: a beaconing field re-decodes the same few strings from every
+// neighbor on every tick. The service name is interned. The provider is
+// almost always the sender itself (beacons and registrations advertise
+// their own services), so when its bytes equal from, from's string is
+// reused; only a third-party provider falls back to the intern table, which
+// is bounded and process-wide and so cannot hold every provider of a large
+// field.
+func decodeAd(r *wire.Reader, from string) Ad {
+	ad := Ad{Service: r.InternString()}
+	if p := r.AliasBytes(); string(p) == from {
+		ad.Provider = from
+	} else {
+		ad.Provider = wire.InternBytes(p)
 	}
+	ad.Attrs = r.StringMap()
+	ad.TTL = time.Duration(r.Int())
+	return ad
 }
 
 // Query matches advertisements. Service must match exactly; every Attrs
@@ -85,21 +94,33 @@ type Finder interface {
 	Find(q Query, cb func(ads []Ad))
 }
 
-// lease is a stored advertisement with its expiry.
+// adKey identifies one lease: a provider's advertisement of one service.
+type adKey struct {
+	provider, service string
+}
+
+// lease is the rest of a stored advertisement, with its expiry. The names
+// live only in the key, which keeps a beacon cache's map slots small: every
+// resident of a roaming crowd accumulates a lease per provider it passes.
 type lease struct {
-	ad      Ad
+	attrs   map[string]string
+	ttl     time.Duration
 	expires time.Duration
+}
+
+func (k adKey) ad(l lease) Ad {
+	return Ad{Service: k.service, Provider: k.provider, Attrs: l.attrs, TTL: l.ttl}
 }
 
 // adTable is an expiring advertisement store shared by the lookup server and
 // the beacon cache. Single-goroutine (simulation/handler context).
 type adTable struct {
 	now    func() time.Duration
-	leases map[string]lease // key: provider + "\x00" + service
+	leases map[adKey]lease
 }
 
 func newAdTable(now func() time.Duration) *adTable {
-	return &adTable{now: now, leases: make(map[string]lease)}
+	return &adTable{now: now, leases: make(map[adKey]lease)}
 }
 
 func (t *adTable) put(ad Ad) {
@@ -107,20 +128,19 @@ func (t *adTable) put(ad Ad) {
 	if ttl <= 0 {
 		ttl = time.Minute
 	}
-	t.leases[ad.Provider+"\x00"+ad.Service] = lease{ad: ad, expires: t.now() + ttl}
+	t.leases[adKey{ad.Provider, ad.Service}] = lease{attrs: ad.Attrs, ttl: ad.TTL, expires: t.now() + ttl}
 }
 
 func (t *adTable) drop(provider, service string) {
-	delete(t.leases, provider+"\x00"+service)
+	delete(t.leases, adKey{provider, service})
 }
 
 // dropProvider removes every lease held for one provider, returning how
 // many were dropped (beacon miss-eviction).
 func (t *adTable) dropProvider(provider string) int {
-	prefix := provider + "\x00"
 	n := 0
 	for key := range t.leases {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
+		if key.provider == provider {
 			delete(t.leases, key)
 			n++
 		}
@@ -137,8 +157,8 @@ func (t *adTable) find(q Query) []Ad {
 			delete(t.leases, key)
 			continue
 		}
-		if q.Matches(l.ad) {
-			out = append(out, l.ad)
+		if ad := key.ad(l); q.Matches(ad) {
+			out = append(out, ad)
 		}
 	}
 	sortAds(out)
@@ -164,8 +184,8 @@ func (t *adTable) size() int {
 func (t *adTable) providers() int {
 	t.prune()
 	seen := make(map[string]bool)
-	for _, l := range t.leases {
-		seen[l.ad.Provider] = true
+	for key := range t.leases {
+		seen[key.provider] = true
 	}
 	return len(seen)
 }

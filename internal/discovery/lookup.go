@@ -42,7 +42,7 @@ func (s *LookupServer) handle(from string, payload []byte) {
 	r := wire.NewReader(payload)
 	switch r.Byte() {
 	case msgRegister:
-		ad := decodeAd(r)
+		ad := decodeAd(r, from)
 		if r.ExpectEOF() != nil || ad.Service == "" {
 			return
 		}
@@ -193,7 +193,7 @@ func (c *LookupClient) handle(from string, payload []byte) {
 	}
 	ads := make([]Ad, 0, n)
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		ads = append(ads, decodeAd(r))
+		ads = append(ads, decodeAd(r, from))
 	}
 	if r.ExpectEOF() != nil {
 		return

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -133,8 +133,8 @@ type Node struct {
 	cellSlot int
 
 	// per-node neighbor cache, valid while the SoA epoch slot matches the
-	// network's topology epoch.
-	nbrCache []string
+	// network's topology epoch. A recompute refills it in place.
+	nbrCache []*Node
 }
 
 // Pos returns the node's current field position. Move nodes with
@@ -249,7 +249,8 @@ type Network struct {
 	// the caller supplies pre-bucketed shards (locality-sharded planning):
 	// the commit then reuses those buckets instead of re-bucketing.
 	moveFlags []uint8
-	// DropHandler, when set, observes messages lost to link loss.
+	// DropHandler, when set, observes messages lost to link loss. It runs
+	// inside Send and Broadcast and must not change the topology.
 	DropHandler func(from, to string, bytes int)
 
 	// Adversity layer (see faults.go). All zero-valued when no faults are
@@ -454,24 +455,27 @@ func (n *Network) connectedNodes(na, nb *Node) bool {
 // Neighbors returns the IDs of all nodes currently connected to id, in
 // insertion order.
 func (n *Network) Neighbors(id string) []string {
-	nbrs := n.neighborsOf(id)
-	if len(nbrs) == 0 {
-		return nil
-	}
-	out := make([]string, len(nbrs))
-	copy(out, nbrs)
-	return out
-}
-
-// neighborsOf returns id's neighbor set in insertion order, serving it from
-// the node's cache while the topology epoch is unchanged. The returned
-// slice is the cache itself: callers must not mutate or retain it across
-// topology changes (Neighbors hands out a copy).
-func (n *Network) neighborsOf(id string) []string {
 	node := n.nodes[id]
 	if node == nil {
 		return nil
 	}
+	nbrs := n.neighborsOf(node)
+	if len(nbrs) == 0 {
+		return nil
+	}
+	out := make([]string, len(nbrs))
+	for i, nb := range nbrs {
+		out[i] = nb.ID
+	}
+	return out
+}
+
+// neighborsOf returns node's neighbor set in insertion order, serving it
+// from the node's cache while the topology epoch is unchanged. The returned
+// slice is the cache itself, refilled in place on the next recompute:
+// callers must not mutate or retain it across topology changes (Neighbors
+// hands out names).
+func (n *Network) neighborsOf(node *Node) []*Node {
 	if n.nbrEpochs[node.orderIdx] == n.epoch {
 		return node.nbrCache
 	}
@@ -486,19 +490,20 @@ func (n *Network) neighborsOf(id string) []string {
 			return node.nbrCache
 		}
 	}
-	node.nbrCache, n.scratch = n.computeNeighbors(node, n.scratch)
+	n.scratch = n.computeNeighbors(node, n.scratch)
 	n.nbrEpochs[node.orderIdx] = n.epoch
 	return node.nbrCache
 }
 
 // computeNeighbors gathers candidates from the infra set and the grid ring
-// around node, filters them through exact connectivity, and resolves the
-// result to insertion order. scratch is the caller's reusable candidate
-// buffer (per-worker during a parallel warm); the possibly-grown buffer is
-// returned for reuse.
-func (n *Network) computeNeighbors(node *Node, scratch []*Node) ([]string, []*Node) {
+// around node, filters them through exact connectivity, resolves the result
+// to insertion order, and refills node's cache with it in place. scratch is
+// the caller's reusable candidate buffer (per-worker during a parallel
+// warm); the possibly-grown buffer is returned for reuse.
+func (n *Network) computeNeighbors(node *Node, scratch []*Node) []*Node {
 	if !node.Up {
-		return nil, scratch
+		node.nbrCache = node.nbrCache[:0]
+		return scratch
 	}
 	cand := scratch[:0]
 	if node.infra {
@@ -528,15 +533,9 @@ func (n *Network) computeNeighbors(node *Node, scratch []*Node) ([]string, []*No
 	cand = cand[:k]
 	// Grid cells yield nodes in index order, not insertion order; resolve
 	// to insertion order so RNG draws and deliveries stay deterministic.
-	sort.Slice(cand, func(i, j int) bool { return cand[i].orderIdx < cand[j].orderIdx })
-	if k == 0 {
-		return nil, cand[:0]
-	}
-	out := make([]string, k)
-	for i, other := range cand {
-		out[i] = other.ID
-	}
-	return out, cand[:0] // hand back the (possibly grown) buffer
+	slices.SortFunc(cand, func(a, b *Node) int { return a.orderIdx - b.orderIdx })
+	node.nbrCache = append(node.nbrCache[:0], cand...)
+	return cand[:0] // hand back the (possibly grown) buffer
 }
 
 // Reachable reports whether a path of connected links exists from a to b.
@@ -560,7 +559,8 @@ func (n *Network) Route(a, b string) []string {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range n.neighborsOf(cur) {
+		for _, nb := range n.neighborsOf(n.nodes[cur]) {
+			next := nb.ID
 			if _, seen := prev[next]; seen {
 				continue
 			}
@@ -756,7 +756,7 @@ func (n *Network) Send(from, to string, payload []byte) error {
 	if src == nil || dst == nil {
 		return fmt.Errorf("netsim: send between unknown nodes %q -> %q", from, to)
 	}
-	if !n.Connected(from, to) {
+	if !n.connectedNodes(src, dst) {
 		return &ErrUnreachable{From: from, To: to}
 	}
 	if src.exhausted() {
@@ -827,23 +827,24 @@ func (n *Network) transmitShared(src, dst *Node, payload []byte, shared bool) {
 		copy(data, payload)
 		pooled = true
 	}
-	n.sim.scheduleDelivery(t+jitter, n, src.ID, dst.ID, data, t, pooled)
+	n.sim.scheduleDelivery(t+jitter, src, dst, data, t, pooled)
 }
 
 // deliver is the arrival half of transmitShared, invoked by the simulator
-// when a typed delivery event fires: it re-resolves the destination at
+// when a typed delivery event fires: it re-checks the destination at
 // delivery time (the node may have gone down, died of battery exhaustion or
 // lost its handler in flight), charges reception, and runs the handler.
-// Pooled (unicast) payloads are recycled once the handler returns, so
-// handlers must copy any bytes they retain.
-func (n *Network) deliver(from, to string, data []byte, air time.Duration, pooled bool) {
-	if d := n.nodes[to]; d != nil && d.Up && d.handler != nil && !d.exhausted() {
-		d.usage.BytesRecv += int64(len(data))
-		d.usage.MsgsRecv++
-		d.usage.Cost += d.Class.CostPerByte * float64(len(data))
-		d.usage.Energy += d.Class.EnergyPerByte * float64(len(data))
-		d.usage.Airtime += air
-		d.handler(from, data)
+// Nodes are never removed, so the event's node pointers are the nodes the
+// IDs name. Pooled (unicast) payloads are recycled once the handler
+// returns, so handlers must copy any bytes they retain.
+func (n *Network) deliver(src, dst *Node, data []byte, air time.Duration, pooled bool) {
+	if dst.Up && dst.handler != nil && !dst.exhausted() {
+		dst.usage.BytesRecv += int64(len(data))
+		dst.usage.MsgsRecv++
+		dst.usage.Cost += dst.Class.CostPerByte * float64(len(data))
+		dst.usage.Energy += dst.Class.EnergyPerByte * float64(len(data))
+		dst.usage.Airtime += air
+		dst.handler(src.ID, data)
 	}
 	if pooled {
 		n.putPayload(data)
@@ -882,14 +883,14 @@ func (n *Network) Broadcast(from string, payload []byte) int {
 	if src == nil || !src.Up || src.exhausted() {
 		return 0
 	}
-	neighbors := n.neighborsOf(from)
+	neighbors := n.neighborsOf(src)
 	if len(neighbors) == 0 {
 		return 0
 	}
 	data := make([]byte, len(payload))
 	copy(data, payload)
-	for _, id := range neighbors {
-		n.transmitShared(src, n.nodes[id], data, true)
+	for _, dst := range neighbors {
+		n.transmitShared(src, dst, data, true)
 	}
 	return len(neighbors)
 }

@@ -92,7 +92,7 @@ func (n *Network) warmNeighborCaches() {
 			if n.nbrEpochs[node.orderIdx] == epoch {
 				continue
 			}
-			node.nbrCache, scratch = n.computeNeighbors(node, scratch)
+			scratch = n.computeNeighbors(node, scratch)
 			n.nbrEpochs[node.orderIdx] = epoch
 		}
 	})

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"cmp"
 	"container/heap"
 	"math/bits"
+	"slices"
 )
 
 // This file is the simulator's event queue: a hashed hierarchical timing
@@ -16,12 +18,15 @@ import (
 // Ordering contract (what every golden depends on): events fire in exactly
 // (at, seq) order — earliest deadline first, insertion order within one
 // instant — identical to the heap. The wheel guarantees it structurally:
-// slots are drained in slot order, a drained slot's events are resolved
-// through a small (at, seq) heap before any of them fires, and an event
-// scheduled into the already-draining quantum goes straight into that heap.
+// slots are drained in slot order, and a drained slot is sorted once by
+// (at, seq) into a run consumed front to back. An event scheduled into the
+// already-reached quantum cannot join the sorted run, so it goes into a
+// small (at, seq) due-heap instead; every pop takes the smaller of the two
+// heads. The run and the due-heap therefore merge into one (at, seq)
+// sequence, and a quantum with no such late pushes never touches the heap.
 // The heap stays in the tree as the differential oracle (NewSimHeap);
-// TestWheelSchedulerMatchesHeapOracle and FuzzTimingWheelScheduler hold the
-// two engines bit-identical.
+// TestWheelSchedulerMatchesHeapOracle, TestWheelSortedDrainBurst and
+// FuzzTimingWheelScheduler hold the two engines bit-identical.
 
 // eventQueue is the simulator's pending-event store. Implementations must
 // yield events in (at, seq) order and tolerate lazy cancellation (cancelled
@@ -106,15 +111,21 @@ func (l *schedLevel) nextOccupied(from int) int {
 	}
 }
 
-// take removes and returns bucket idx's events (nil when empty).
+// take empties bucket idx and returns its events. The bucket keeps the
+// slice's backing array: the caller hands it back through release once it
+// has re-placed the events.
 func (l *schedLevel) take(idx int) []*Event {
 	b := l.buckets[idx]
-	if len(b) == 0 {
-		return nil
-	}
 	l.buckets[idx] = nil
 	l.occ[idx>>6] &^= 1 << (uint(idx) & 63)
 	return b
+}
+
+// release returns a taken bucket's storage, cleared, to bucket idx so the
+// next revolution that fills it does not regrow it.
+func (l *schedLevel) release(idx int, b []*Event) {
+	clear(b)
+	l.buckets[idx] = b[:0]
 }
 
 // wheelQueue is the hashed hierarchical timing wheel.
@@ -123,16 +134,21 @@ type wheelQueue struct {
 	// overflow holds events beyond the top level's horizon, re-placed when
 	// the top level turns over (or when the wheel is otherwise empty).
 	overflow []*Event
-	// due holds the events of every already-reached slot, ordered by
-	// (at, seq): the wheel's quantum is coarser than event deadlines, so the
-	// current slot's events resolve their exact order through this heap.
+	// run is the last drained slot's events sorted by (at, seq); run[runPos:]
+	// are still pending. The wheel's quantum is coarser than event
+	// deadlines, so a reached slot resolves its exact order by one sort.
+	run    []*Event
+	runPos int
+	// due holds the events pushed into an already-reached quantum, ordered
+	// by (at, seq). They compete with the run's head on every pop.
 	due eventHeap
 	// cur is the next level-0 slot to drain: every event in slots < cur has
-	// been moved into due (or fired), every pending event in the wheel is at
-	// a slot >= cur.
+	// been moved into run or due (or fired), every pending event in the
+	// wheel is at a slot >= cur.
 	cur int64
-	// count tracks all pending events (buckets + overflow + due), including
-	// cancelled ones not yet discarded; inWheel counts buckets only.
+	// count tracks all pending events (buckets + overflow + run + due),
+	// including cancelled ones not yet discarded; inWheel counts buckets
+	// only.
 	count   int
 	inWheel int
 }
@@ -146,7 +162,7 @@ func (w *wheelQueue) push(e *Event) {
 	slot := int64(e.at) >> schedQuantumBits
 	if slot < w.cur {
 		// The clock is already inside (or past) this event's quantum: it
-		// competes with the currently-draining slot on (at, seq) directly.
+		// competes with the drained slot's run on (at, seq) directly.
 		heap.Push(&w.due, e)
 		return
 	}
@@ -171,12 +187,24 @@ func (w *wheelQueue) place(e *Event, slot int64) {
 
 func (w *wheelQueue) peek() *Event {
 	for {
-		for len(w.due) > 0 {
-			if !w.due[0].canceled {
-				return w.due[0]
-			}
+		for w.runPos < len(w.run) && w.run[w.runPos].canceled {
+			w.run[w.runPos] = nil
+			w.runPos++
+			w.count--
+		}
+		for len(w.due) > 0 && w.due[0].canceled {
 			heap.Pop(&w.due)
 			w.count--
+		}
+		if w.runPos < len(w.run) {
+			r := w.run[w.runPos]
+			if len(w.due) > 0 && eventLess(w.due[0], r) {
+				return w.due[0]
+			}
+			return r
+		}
+		if len(w.due) > 0 {
+			return w.due[0]
 		}
 		if w.count == 0 {
 			return nil
@@ -190,17 +218,23 @@ func (w *wheelQueue) pop() *Event {
 	if e == nil {
 		return nil
 	}
-	heap.Pop(&w.due)
+	if w.runPos < len(w.run) && w.run[w.runPos] == e {
+		w.run[w.runPos] = nil
+		w.runPos++
+	} else {
+		heap.Pop(&w.due)
+	}
 	w.count--
 	return e
 }
 
 // advance moves the clock position forward until at least one slot has been
-// drained into due, cascading coarser levels down at their boundaries and
-// skipping empty stretches by bitmap. Callers guarantee count > 0.
+// drained into the run, cascading coarser levels down at their boundaries
+// and skipping empty stretches by bitmap. Callers guarantee count > 0 and
+// that the run and the due-heap are both exhausted.
 func (w *wheelQueue) advance() {
 	for {
-		if w.inWheel == 0 && len(w.due) == 0 {
+		if w.inWheel == 0 {
 			// Only overflow events remain: jump straight to the horizon
 			// boundary that re-admits the earliest of them instead of
 			// turning the empty wheel billions of slots.
@@ -238,11 +272,15 @@ func (w *wheelQueue) cascade() {
 		if w.cur&(1<<shift-1) != 0 {
 			continue
 		}
-		pulled := w.levels[l].take(int((w.cur >> shift) & schedSlotMask))
+		idx := int((w.cur >> shift) & schedSlotMask)
+		pulled := w.levels[l].take(idx)
 		w.inWheel -= len(pulled)
 		for _, e := range pulled {
+			// Every pulled event lies in the level-l block just entered, so
+			// it fits level l-1 or finer and never lands back in idx.
 			w.place(e, int64(e.at)>>schedQuantumBits)
 		}
+		w.levels[l].release(idx, pulled)
 	}
 	if len(w.overflow) > 0 && w.cur&(1<<(schedLevelBits*(schedLevels-1))-1) == 0 {
 		pending := w.overflow
@@ -253,16 +291,30 @@ func (w *wheelQueue) cascade() {
 	}
 }
 
-// drainSlot moves level-0 bucket idx into the due heap, keeping the
-// bucket's capacity warm for the slots that reuse it.
+// drainSlot copies level-0 bucket idx into the run and sorts it. The run
+// and the bucket each keep their own backing array warm: the bucket may
+// refill for a slot 256 quanta on while the run is still being consumed.
 func (w *wheelQueue) drainSlot(idx int) {
 	l := &w.levels[0]
-	b := l.buckets[idx]
-	for i, e := range b {
-		heap.Push(&w.due, e)
-		b[i] = nil
-	}
+	b := l.take(idx)
 	w.inWheel -= len(b)
-	l.buckets[idx] = b[:0]
-	l.occ[idx>>6] &^= 1 << (uint(idx) & 63)
+	w.run, w.runPos = append(w.run[:0], b...), 0
+	l.release(idx, b)
+	slices.SortFunc(w.run, eventCmp)
+}
+
+// eventLess is the (at, seq) order every engine fires in.
+func eventLess(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventCmp is eventLess as a three-way comparison for slices.SortFunc.
+func eventCmp(a, b *Event) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }

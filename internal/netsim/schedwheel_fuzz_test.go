@@ -20,6 +20,10 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 5, 3, 3})
 	// Far-future arms that must cascade down through the levels.
 	f.Add([]byte{0, 200, 0, 250, 0, 1, 4, 4, 4, 3, 3, 3})
+	// Sorted drain: a slot's run consumed only partly by Steps while
+	// zero-delay arms land in the same quantum's due-heap and cancels hit
+	// both the run and the due-heap, then a cascaded slot.
+	f.Add(burstSeed())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type world struct {
@@ -121,4 +125,21 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 			t.Fatalf("pending diverged: wheel %d heap %d", worlds[0].sim.Pending(), worlds[1].sim.Pending())
 		}
 	})
+}
+
+// burstSeed builds the sorted-drain seed script for FuzzTimingWheelScheduler
+// (ops: 0 arm, 1 cancel, 2 Step, 3 Run, 4 drain; see the delay table).
+func burstSeed() []byte {
+	var s []byte
+	for _, b := range []byte{252, 252, 247, 252} {
+		s = append(s, 0, b, 1) // 2.7 s out: parked on level 1, cascades later
+	}
+	for _, b := range []byte{1, 1, 6, 11, 11, 16, 21} {
+		s = append(s, 0, b, 1) // inside the first quantum, equal pairs included
+	}
+	s = append(s, 2, 2) // fire the two earliest: the run is part-consumed
+	for i := byte(0); i < 4; i++ {
+		s = append(s, 0, 0, 1, 1, 3*i+2, 2) // zero-delay arm, cancel, Step
+	}
+	return append(s, 3, 252, 4) // Run across the cascaded slot, then drain
 }

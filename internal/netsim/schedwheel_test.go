@@ -136,3 +136,62 @@ func TestWheelPendingCancelled(t *testing.T) {
 		})
 	}
 }
+
+// TestWheelSortedDrainBurst drives one slot past 10k events on both engines
+// and demands identical firing transcripts. Half of the slot's events are
+// armed seconds ahead, so they reach level 0 by cascade; the other half are
+// armed once the slot is in level-0 range, so they are placed directly.
+// Deadlines inside the quantum are scrambled and repeat, so the sort and
+// the sequence tie-break both matter. While the slot's run is only partly
+// consumed, fired events arm more events into the same quantum (zero delay
+// and sub-quantum delays, which go to the due-heap) and cancel pending ones
+// in both the run and the due-heap.
+func TestWheelSortedDrainBurst(t *testing.T) {
+	const (
+		quantum = time.Duration(1) << schedQuantumBits
+		target  = 2000 * quantum // ~2.1 s: level 1 at t=0
+		half    = 6000
+	)
+	run := func(mk func(int64) *Sim) (string, int) {
+		s := mk(1)
+		var log []byte
+		var events []*Event
+		next := 0
+		var arm func(at time.Duration)
+		arm = func(at time.Duration) {
+			id := next
+			next++
+			events = append(events, s.Schedule(at-s.Now(), func() {
+				log = fmt.Appendf(log, "%d@%d ", id, s.Now())
+				if id%5 == 0 && next < 4*half {
+					// Same-quantum pushes while the run is part-consumed.
+					arm(s.Now())
+					arm(s.Now() + time.Duration(id%97)*time.Microsecond)
+				}
+				if id%7 == 0 {
+					events[(id*31+11)%len(events)].Cancel()
+				}
+			}))
+		}
+		offset := func(i int) time.Duration {
+			return time.Duration((i * 7919) % int(quantum/64) * 64)
+		}
+		for i := 0; i < half; i++ {
+			arm(target + offset(i))
+		}
+		s.Run(target - 100*time.Millisecond)
+		for i := 0; i < half; i++ {
+			arm(target + offset(i+half/2))
+		}
+		s.RunUntilIdle(0)
+		return string(log), next
+	}
+	wheel, armed := run(NewSim)
+	oracle, _ := run(NewSimHeap)
+	if armed < 2*half+1000 {
+		t.Fatalf("only %d events armed; the burst did not form", armed)
+	}
+	if wheel != oracle {
+		t.Fatal("wheel scheduler's sorted drain diverged from the heap oracle")
+	}
+}

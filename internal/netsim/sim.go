@@ -72,14 +72,14 @@ type Event struct {
 	canceled bool
 	index    int
 
-	// Typed delivery form: when net is non-nil the event is a network
+	// Typed delivery form: when dst is non-nil the event is a network
 	// message delivery and fn is nil. Keeping the delivery parameters in
 	// the event itself (instead of a per-message closure) lets the hot
 	// transmit path run without allocating, and lets fired events return
-	// to the simulator's free list.
-	net    *Network
-	from   string
-	to     string
+	// to the simulator's free list. The endpoints travel as node pointers,
+	// so delivery needs no lookup by name.
+	src    *Node
+	dst    *Node
 	data   []byte
 	air    time.Duration
 	pooled bool
@@ -106,7 +106,7 @@ func (s *Sim) Schedule(delay time.Duration, fn func()) *Event {
 // from (and returns to) the simulator's free list, which is safe because
 // delivery events are never exposed to callers. Ordering is identical to
 // Schedule: same clock, same sequence counter.
-func (s *Sim) scheduleDelivery(delay time.Duration, net *Network, from, to string, data []byte, air time.Duration, pooled bool) {
+func (s *Sim) scheduleDelivery(delay time.Duration, src, dst *Node, data []byte, air time.Duration, pooled bool) {
 	if delay < 0 {
 		delay = 0
 	}
@@ -120,9 +120,8 @@ func (s *Sim) scheduleDelivery(delay time.Duration, net *Network, from, to strin
 	}
 	e.at = s.now + delay
 	e.seq = s.seq
-	e.net = net
-	e.from = from
-	e.to = to
+	e.src = src
+	e.dst = dst
 	e.data = data
 	e.air = air
 	e.pooled = pooled
@@ -135,14 +134,14 @@ func (s *Sim) scheduleDelivery(delay time.Duration, net *Network, from, to strin
 // can immediately reuse the event for anything it schedules. Plain callback
 // events were handed to their scheduler and are never recycled.
 func (s *Sim) fire(e *Event) {
-	if e.net == nil {
+	if e.dst == nil {
 		e.fn()
 		return
 	}
-	net, from, to, data, air, pooled := e.net, e.from, e.to, e.data, e.air, e.pooled
+	src, dst, data, air, pooled := e.src, e.dst, e.data, e.air, e.pooled
 	*e = Event{}
 	s.free = append(s.free, e)
-	net.deliver(from, to, data, air, pooled)
+	dst.net.deliver(src, dst, data, air, pooled)
 }
 
 // Step fires the earliest pending event. It returns false when no events
@@ -213,12 +212,7 @@ type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
 
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]

@@ -172,6 +172,19 @@ func (f *FetchWave) Start(w *World) {
 		h := w.Hosts[name]
 		node := w.Net.Node(name)
 		var attempt func()
+		// done is built once per client, not per attempt: most attempts of
+		// a roaming crowd fail out of range and retry.
+		done := func(u *lmu.Unit, err error) {
+			if err != nil {
+				w.Sim.Schedule(retry, attempt)
+				return
+			}
+			f.Stats.Fetched++
+			f.Stats.Done.Observe(w.Sim.Now().Seconds())
+			if f.Entry != "" {
+				_, _ = h.RunComponent(u.Manifest.Name, f.Entry, f.Args...)
+			}
+		}
 		attempt = func() {
 			// Aim at the currently nearest server; the node may have roamed
 			// since the last attempt.
@@ -181,17 +194,7 @@ func (f *FetchWave) Start(w *World) {
 					best, bestD = s, d
 				}
 			}
-			h.Fetch(best, unit.Manifest.Name, "", func(u *lmu.Unit, err error) {
-				if err != nil {
-					w.Sim.Schedule(retry, attempt)
-					return
-				}
-				f.Stats.Fetched++
-				f.Stats.Done.Observe(w.Sim.Now().Seconds())
-				if f.Entry != "" {
-					_, _ = h.RunComponent(u.Manifest.Name, f.Entry, f.Args...)
-				}
-			})
+			h.Fetch(best, unit.Manifest.Name, "", done)
 		}
 		attempt()
 	}

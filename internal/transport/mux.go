@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"logmob/internal/wire"
 )
@@ -25,14 +26,18 @@ const (
 // each payload with a channel ID byte. Each channel behaves as an Endpoint
 // of its own.
 type Mux struct {
-	ep       Endpoint
-	mu       sync.Mutex
-	handlers map[byte]Handler // guarded by mu
+	ep Endpoint
+	// handlers is indexed by channel ID and only as long as the highest
+	// installed ID, so a host with a few low channels pays a few words, not
+	// a 256-entry table. It is copy-on-write: dispatch loads it without a
+	// lock, SetHandler publishes a fresh slice under mu.
+	handlers atomic.Pointer[[]Handler]
+	mu       sync.Mutex // serializes handler installs
 }
 
 // NewMux wraps ep and installs its dispatch handler.
 func NewMux(ep Endpoint) *Mux {
-	m := &Mux{ep: ep, handlers: make(map[byte]Handler)}
+	m := &Mux{ep: ep}
 	ep.SetHandler(m.dispatch)
 	return m
 }
@@ -41,12 +46,30 @@ func (m *Mux) dispatch(from string, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
-	m.mu.Lock()
-	h := m.handlers[payload[0]]
-	m.mu.Unlock()
-	if h != nil {
+	hs := m.handlers.Load()
+	if hs == nil || int(payload[0]) >= len(*hs) {
+		return
+	}
+	if h := (*hs)[payload[0]]; h != nil {
 		h(from, payload[1:])
 	}
+}
+
+// setHandler installs (or, with nil, removes) channel id's handler.
+func (m *Mux) setHandler(id byte, h Handler) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var old []Handler
+	if p := m.handlers.Load(); p != nil {
+		old = *p
+	}
+	if h != nil && int(id) < len(old) && old[id] != nil {
+		panic(fmt.Sprintf("transport: handler for mux channel %d installed twice", id))
+	}
+	hs := make([]Handler, max(len(old), int(id)+1))
+	copy(hs, old)
+	hs[id] = h
+	m.handlers.Store(&hs)
 }
 
 // Channel returns the Endpoint view of one channel.
@@ -87,18 +110,7 @@ func (c *muxChannel) Broadcast(payload []byte) int {
 
 func (c *muxChannel) Neighbors() []string { return c.mux.ep.Neighbors() }
 
-func (c *muxChannel) SetHandler(h Handler) {
-	c.mux.mu.Lock()
-	defer c.mux.mu.Unlock()
-	if h == nil {
-		delete(c.mux.handlers, c.id)
-		return
-	}
-	if _, dup := c.mux.handlers[c.id]; dup {
-		panic(fmt.Sprintf("transport: handler for mux channel %d installed twice", c.id))
-	}
-	c.mux.handlers[c.id] = h
-}
+func (c *muxChannel) SetHandler(h Handler) { c.mux.setHandler(c.id, h) }
 
 // Close detaches the channel's handler; the underlying endpoint stays open.
 func (c *muxChannel) Close() error {
