@@ -198,7 +198,7 @@ func (w *wheelQueue) peek() *Event {
 		}
 		if w.runPos < len(w.run) {
 			r := w.run[w.runPos]
-			if len(w.due) > 0 && eventLess(w.due[0], r) {
+			if len(w.due) > 0 && eventCmp(w.due[0], r) < 0 {
 				return w.due[0]
 			}
 			return r
@@ -303,15 +303,7 @@ func (w *wheelQueue) drainSlot(idx int) {
 	slices.SortFunc(w.run, eventCmp)
 }
 
-// eventLess is the (at, seq) order every engine fires in.
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventCmp is eventLess as a three-way comparison for slices.SortFunc.
+// eventCmp is the (at, seq) order every engine fires in.
 func eventCmp(a, b *Event) int {
 	if c := cmp.Compare(a.at, b.at); c != 0 {
 		return c

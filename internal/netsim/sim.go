@@ -212,7 +212,7 @@ type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
 
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
+func (h eventHeap) Less(i, j int) bool { return eventCmp(h[i], h[j]) < 0 }
 
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
