@@ -394,57 +394,49 @@ func BenchmarkT15Metropolis(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerArm measures the event-queue engines head to head on
-// the beacon-shaped load the timing wheel exists for: n self-re-arming
-// timers on a shared 30s cadence with staggered phases, so every RunFor
-// window fires n callbacks and pushes n re-arms. The heap pays O(log n)
-// per arm and per pop; the wheel pays O(1) per arm and amortised-constant
-// cascades. The n=1000000 rows are the megacity scale (skipped in -short).
+// BenchmarkSchedulerArm measures the simulator's timing-wheel event queue
+// on the beacon-shaped load it exists for: n self-re-arming timers on a
+// shared 30s cadence with staggered phases, so every RunFor window fires n
+// callbacks and pushes n re-arms. The n=1000000 row is the megacity scale
+// (skipped in -short). internal/netsim's BenchmarkSchedulerArm runs the
+// same load on the binary-heap oracle beside it.
 func BenchmarkSchedulerArm(b *testing.B) {
 	const ivl = 30 * time.Second
-	engines := []struct {
-		name string
-		mk   func(int64) *netsim.Sim
-	}{
-		{"heap", netsim.NewSimHeap},
-		{"wheel", netsim.NewSim},
-	}
-	for _, eng := range engines {
-		for _, n := range []int{1000, 100000, 1000000} {
-			b.Run(fmt.Sprintf("%s/n%d", eng.name, n), func(b *testing.B) {
-				if n >= 1000000 && testing.Short() {
-					b.Skip("1M-timer benchmark in -short mode")
-				}
-				s := eng.mk(1)
-				fired := 0
-				var rearm func()
-				rearm = func() {
-					fired++
-					s.After(ivl, rearm)
-				}
-				for i := 0; i < n; i++ {
-					// Stagger initial phases so firings spread across the
-					// interval instead of landing on one instant.
-					s.After(time.Duration(i%1000)*ivl/1000, rearm)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.RunFor(ivl)
-				}
-				b.StopTimer()
-				if fired == 0 {
-					b.Fatal("no timers fired")
-				}
-			})
-		}
+	for _, n := range []int{1000, 100000, 1000000} {
+		b.Run(fmt.Sprintf("wheel/n%d", n), func(b *testing.B) {
+			if n >= 1000000 && testing.Short() {
+				b.Skip("1M-timer benchmark in -short mode")
+			}
+			s := netsim.NewSim(1)
+			fired := 0
+			var rearm func()
+			rearm = func() {
+				fired++
+				s.After(ivl, rearm)
+			}
+			for i := 0; i < n; i++ {
+				// Stagger initial phases so firings spread across the
+				// interval instead of landing on one instant.
+				s.After(time.Duration(i%1000)*ivl/1000, rearm)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RunFor(ivl)
+			}
+			b.StopTimer()
+			if fired == 0 {
+				b.Fatal("no timers fired")
+			}
+		})
 	}
 }
 
 // BenchmarkBeaconCadence measures one beacon interval of discovery traffic
-// over a dense grid of ad-hoc nodes, per-host timers vs one BeaconBatch:
-// the batch replaces n timer re-arms per interval with one wheel callback
-// and shares a single sorted scratch across every member's frame rebuild.
+// over a dense grid of ad-hoc nodes, n separately started beacons (each
+// its own batch of one) vs one BeaconBatch: the shared batch replaces n
+// timer re-arms per interval with one wheel callback and shares a single
+// sorted scratch across every member's frame rebuild.
 func BenchmarkBeaconCadence(b *testing.B) {
 	const ivl = 30 * time.Second
 	for _, mode := range []string{"perhost", "batch"} {

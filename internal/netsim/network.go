@@ -580,79 +580,6 @@ func (n *Network) Route(a, b string) []string {
 	return nil
 }
 
-// --- linear-scan oracles ---
-//
-// The pre-grid implementations, kept verbatim as correctness oracles: the
-// property tests in grid_test.go require the grid-backed queries to agree
-// with them exactly (same sets, same order) on randomized topologies, and
-// the benchmarks measure the grid against them.
-
-// connectedLinear is the original Connected.
-func (n *Network) connectedLinear(a, b string) bool {
-	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil || nb == nil || !na.Up || !nb.Up || a == b {
-		return false
-	}
-	if n.cuts[linkKey(a, b)] {
-		return false
-	}
-	if len(n.parts) > 0 && n.partitionedPair(na, nb) {
-		return false
-	}
-	if na.Class.Infrastructure && nb.Class.Infrastructure {
-		return true
-	}
-	if na.Class.Infrastructure != nb.Class.Infrastructure {
-		return true
-	}
-	d := na.Pos().Dist(nb.Pos())
-	return d <= na.EffectiveRange() && d <= nb.EffectiveRange()
-}
-
-// neighborsLinear is the original full-scan Neighbors.
-func (n *Network) neighborsLinear(id string) []string {
-	var out []string
-	for _, other := range n.order {
-		if other != id && n.connectedLinear(id, other) {
-			out = append(out, other)
-		}
-	}
-	return out
-}
-
-// routeLinear is the original BFS over the full node list.
-func (n *Network) routeLinear(a, b string) []string {
-	if a == b {
-		return []string{a}
-	}
-	if n.nodes[a] == nil || n.nodes[b] == nil {
-		return nil
-	}
-	prev := map[string]string{a: a}
-	queue := []string{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range n.order {
-			if _, seen := prev[next]; seen || !n.connectedLinear(cur, next) {
-				continue
-			}
-			prev[next] = cur
-			if next == b {
-				var path []string
-				for at := b; ; at = prev[at] {
-					path = append([]string{at}, path...)
-					if at == a {
-						return path
-					}
-				}
-			}
-			queue = append(queue, next)
-		}
-	}
-	return nil
-}
-
 // ErrUnreachable reports that no usable link exists for a send.
 type ErrUnreachable struct {
 	From, To string

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the simulator's event queue: a hashed hierarchical timing
-// wheel. The original binary heap (heapQueue below) pays O(log n) per
-// schedule, and at a million beaconing hosts the heap itself becomes the
-// tick bottleneck — every re-arm sifts through a seven-figure queue. The
-// wheel makes scheduling O(1): an event hashes to a slot by its deadline,
+// wheel. A binary heap pays O(log n) per schedule, and at a million
+// beaconing hosts the heap itself becomes the tick bottleneck — every
+// re-arm sifts through a seven-figure queue. The wheel makes scheduling
+// O(1): an event hashes to a slot by its deadline,
 // whole slots are drained as virtual time reaches them, and far-future
 // events cascade down from coarser levels exactly once.
 //
@@ -24,9 +24,10 @@ import (
 // small (at, seq) due-heap instead; every pop takes the smaller of the two
 // heads. The run and the due-heap therefore merge into one (at, seq)
 // sequence, and a quantum with no such late pushes never touches the heap.
-// The heap stays in the tree as the differential oracle (NewSimHeap);
-// TestWheelSchedulerMatchesHeapOracle, TestWheelSortedDrainBurst and
-// FuzzTimingWheelScheduler hold the two engines bit-identical.
+// The original heap survives only in the tests, as the differential oracle
+// heapQueue (oracle_test.go); TestWheelSchedulerMatchesHeapOracle,
+// TestWheelSortedDrainBurst and FuzzTimingWheelScheduler hold the two
+// engines bit-identical.
 
 // eventQueue is the simulator's pending-event store. Implementations must
 // yield events in (at, seq) order and tolerate lazy cancellation (cancelled
@@ -41,34 +42,6 @@ type eventQueue interface {
 	// len counts pending events, including cancelled ones not yet discarded.
 	len() int
 }
-
-// heapQueue is the original binary-heap queue, kept verbatim behind the
-// eventQueue interface as the wheel's differential oracle.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) push(e *Event) { heap.Push(&q.h, e) }
-
-func (q *heapQueue) peek() *Event {
-	for q.h.Len() > 0 {
-		if !q.h[0].canceled {
-			return q.h[0]
-		}
-		heap.Pop(&q.h)
-	}
-	return nil
-}
-
-func (q *heapQueue) pop() *Event {
-	if e := q.peek(); e != nil {
-		heap.Pop(&q.h)
-		return e
-	}
-	return nil
-}
-
-func (q *heapQueue) len() int { return q.h.Len() }
 
 // Wheel geometry. Level 0 slots are schedQuantum (2^20ns ~ 1.05ms) wide;
 // each higher level's slots are 256x coarser, so four levels cover
@@ -309,4 +282,25 @@ func eventCmp(a, b *Event) int {
 		return c
 	}
 	return cmp.Compare(a.seq, b.seq)
+}
+
+// eventHeap is a min-heap ordered by (time, sequence): the wheel's
+// same-quantum due-heap.
+type eventHeap []*Event
+
+func (h eventHeap) Len() int { return len(h) }
+
+func (h eventHeap) Less(i, j int) bool { return eventCmp(h[i], h[j]) < 0 }
+
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*Event)) }
+
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
 }

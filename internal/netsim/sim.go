@@ -41,17 +41,9 @@ type Sim struct {
 
 // NewSim returns a simulator whose PRNG is seeded with seed. Identical seeds
 // yield identical runs. The event queue is a hashed hierarchical timing
-// wheel (see schedwheel.go); it fires events in exactly the same (time,
-// sequence) order as the binary-heap engine NewSimHeap keeps as an oracle.
+// wheel (see schedwheel.go) that fires events in (time, sequence) order.
 func NewSim(seed int64) *Sim {
 	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: newWheelQueue()}
-}
-
-// NewSimHeap returns a simulator running on the original binary-heap event
-// queue. It is kept as the timing wheel's differential oracle: a given seed
-// produces bit-identical runs on either engine.
-func NewSimHeap(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: &heapQueue{}}
 }
 
 // Seed returns the seed the simulator was built with, so derived RNG
@@ -70,7 +62,6 @@ type Event struct {
 	seq      uint64
 	fn       func()
 	canceled bool
-	index    int
 
 	// Typed delivery form: when dst is non-nil the event is a network
 	// message delivery and fn is nil. Keeping the delivery parameters in
@@ -205,32 +196,4 @@ func (s *Sim) Pending() int { return s.queue.len() }
 func (s *Sim) After(d time.Duration, fn func()) func() {
 	e := s.Schedule(d, fn)
 	return e.Cancel
-}
-
-// eventHeap is a min-heap ordered by (time, sequence).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool { return eventCmp(h[i], h[j]) < 0 }
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }

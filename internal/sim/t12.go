@@ -150,6 +150,3 @@ func t12Spec(p map[string]float64) *scenario.Spec {
 			residents, kiosks, field, field, radio, t12Deadline),
 	}
 }
-
-// runT12 runs T12 at its defaults.
-func runT12(seed int64) *Result { return T12().Run(seed) }

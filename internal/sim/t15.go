@@ -273,6 +273,3 @@ func (s *t15Paradigms) collect(_ *scenario.World, t *metrics.Table) {
 	t.AddRow("cs rounds completed", fmt.Sprintf("%d/%d", s.csDone, s.csRounds))
 	t.AddRow("rev evals completed", fmt.Sprintf("%d/%d", s.revDone, s.revTarget))
 }
-
-// runT15 runs T15 at its defaults.
-func runT15(seed int64) *Result { return T15().Run(seed) }

@@ -64,6 +64,3 @@ func t16Spec(p map[string]float64) *scenario.Spec {
 		int(p["residents"]), int(p["kiosks"]), p["field"], p["field"], p["range"], duration)
 	return sp
 }
-
-// runT16 runs T16 at its defaults.
-func runT16(seed int64) *Result { return T16().Run(seed) }
