@@ -14,8 +14,8 @@
 //	experiments -workers 8         size each world's tick worker pool: the
 //	                               simulator shards mobility and neighbor
 //	                               recomputation across 8 workers (0 =
-//	                               GOMAXPROCS, 1 = serial engine; per-seed
-//	                               output is identical at any setting)
+//	                               GOMAXPROCS, 1 = on the event-loop goroutine;
+//	                               per-seed output is identical at any setting)
 //	experiments -sweep a=1,2,3     sweep parameter a over the given values
 //	                               (see -list for each experiment's
 //	                               parameters)
@@ -51,7 +51,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic base seed")
 	seeds := flag.Int("seeds", 1, "number of replicate seeds (seed..seed+N-1)")
 	parallel := flag.Int("parallel", 1, "replicates to run concurrently")
-	workers := flag.Int("workers", 0, "tick worker pool per world (0 = GOMAXPROCS split across -parallel, 1 = serial engine)")
+	workers := flag.Int("workers", 0, "tick worker pool per world (0 = GOMAXPROCS split across -parallel, 1 = on the event-loop goroutine)")
 	sweepFlag := flag.String("sweep", "", "parameter sweep, e.g. attendees=100,500,2000")
 	lossFlag := flag.Float64("loss", -1, "override the 'loss' parameter of experiments that expose it (e.g. T13 drop probability)")
 	churnFlag := flag.Float64("churn", -1, "override the 'churn' parameter of experiments that expose it (e.g. T13 per-tick crash probability)")

@@ -237,7 +237,7 @@ func TestBroadcastSharesOnePayloadCopy(t *testing.T) {
 	if n := net.Broadcast("src", buf); n != 2 {
 		t.Fatalf("Broadcast = %d, want 2", n)
 	}
-	buf[0] = 'X' // caller reuses its buffer; deliveries must be unaffected
+	buf[0] = 'X' // caller overwrites its buffer; deliveries must be unaffected
 	sim.RunUntilIdle(0)
 	if len(got) != 2 || string(got[0]) != "payload" || string(got[1]) != "payload" {
 		t.Fatalf("deliveries = %q", got)

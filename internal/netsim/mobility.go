@@ -15,10 +15,10 @@ type MobilityModel interface {
 }
 
 // Planner is an optional MobilityModel extension that splits Step into a
-// pure planning half and an arrival commit, enabling the deterministic
-// two-phase parallel tick (see parallel.go). A model implementing Planner
-// must keep Step equivalent to: apply PlanStep's position, then run
-// CommitArrival when it reports arrival.
+// pure planning half and an arrival commit. Mobility drives a Planner model
+// only through that split, at any worker count (see parallel.go). A model
+// implementing Planner must keep Step equivalent to: apply PlanStep's
+// position, then run CommitArrival when it reports arrival.
 type Planner interface {
 	MobilityModel
 	// PlanStep computes node's position after dt of movement. It runs on a
@@ -28,9 +28,8 @@ type Planner interface {
 	// the serial commit phase.
 	PlanStep(node *Node, now, dt time.Duration) (next Position, moved, arrived bool)
 	// CommitArrival performs the model's arrival-time state changes and
-	// RNG draws. It runs on the event-loop goroutine, in the same node
-	// order the serial engine steps, so the RNG stream is identical at any
-	// worker count.
+	// RNG draws. It runs on the event-loop goroutine, in canonical node
+	// order, so the RNG stream is identical at any worker count.
 	CommitArrival(n *Network, node *Node)
 }
 
@@ -73,9 +72,8 @@ func (m *RandomWaypoint) pick(n *Network, node *Node) {
 	node.speed = m.SpeedMin + rng.Float64()*(m.SpeedMax-m.SpeedMin)
 }
 
-// Step moves the node toward its waypoint, pausing on arrival. It is
-// exactly PlanStep + commit, so the serial and parallel engines share one
-// integration formula and produce bit-identical trajectories.
+// Step moves the node toward its waypoint, pausing on arrival: exactly
+// PlanStep + commit, the per-node reference the Planner pipeline must match.
 func (m *RandomWaypoint) Step(n *Network, node *Node, dt time.Duration) {
 	next, moved, arrived := m.PlanStep(node, n.Sim().Now(), dt)
 	if moved {
@@ -221,15 +219,14 @@ type Mobility struct {
 	index map[*Node]int32 // member -> index in nodes, for external re-arming
 	wheel *timeWheel
 
-	// per-tick buffers, reused across ticks.
+	// per-tick buffers, kept across ticks.
 	due      []int32
 	resolved []*Node
 	resIdx   []int32
 	plans    []stepPlan
 	// planBuckets shards the resolved due set by grid-region owner for
 	// locality-sharded planning: one bucket per worker, each holding indices
-	// into resolved. The same buckets feed commitMoves so the commit never
-	// re-buckets.
+	// into resolved. The same buckets feed commitMoves' sharded pass.
 	planBuckets [][]int32
 }
 
@@ -331,29 +328,6 @@ func (m *Mobility) stepDue() {
 	if len(m.due) == 0 {
 		return
 	}
-	if m.planner != nil && m.net.workers > 1 {
-		m.stepTwoPhase(m.planner)
-		return
-	}
-	for _, i := range m.due {
-		node := m.nodes[i]
-		if !node.Up {
-			continue
-		}
-		m.model.Step(m.net, node, m.tick)
-		// Keep the spatial index in step and advance the topology epoch
-		// for any node the model actually moved.
-		m.net.nodeMoved(node)
-		m.arm(i, node)
-	}
-}
-
-// stepTwoPhase is one parallel mobility tick over the due set. Phase 1
-// plans movement across the worker pool, touching nothing shared; phase 2
-// commits positions, the model's arrival RNG draws and the spatial
-// re-indexing in canonical node order — so trajectories, epochs and the
-// RNG stream are bit-identical to the serial engine.
-func (m *Mobility) stepTwoPhase(model Planner) {
 	m.resolved = m.resolved[:0]
 	m.resIdx = m.resIdx[:0]
 	for _, i := range m.due {
@@ -362,19 +336,47 @@ func (m *Mobility) stepTwoPhase(model Planner) {
 			m.resIdx = append(m.resIdx, i)
 		}
 	}
+	if m.planner != nil {
+		m.stepTwoPhase(m.planner)
+	} else {
+		for _, node := range m.resolved {
+			m.model.Step(m.net, node, m.tick)
+			// Keep the spatial index in step and advance the topology
+			// epoch for any node the model actually moved.
+			m.net.nodeMoved(node)
+		}
+	}
+	for i, node := range m.resolved {
+		m.arm(m.resIdx[i], node)
+	}
+}
+
+// stepTwoPhase is one tick of a Planner model over the resolved due set.
+// Phase 1 plans movement, touching nothing shared — inline, or across the
+// worker pool once workers > 1 and regionMoveParallelMin nodes are due.
+// Phase 2 commits positions, arrival RNG draws and the re-indexing in
+// canonical node order, so results are identical at any worker count.
+func (m *Mobility) stepTwoPhase(model Planner) {
 	if cap(m.plans) < len(m.resolved) {
 		m.plans = make([]stepPlan, len(m.resolved))
 	}
 	plans := m.plans[:len(m.resolved)]
 	now := m.net.Sim().Now()
-	w := m.net.workers
+	plan := func(i int32) {
+		next, moved, arrived := model.PlanStep(m.resolved[i], now, m.tick)
+		plans[i] = stepPlan{next: next, moved: moved, arrived: arrived}
+	}
 	var buckets [][]int32
-	if w > 1 && len(m.resolved) >= regionMoveParallelMin {
+	if w := m.net.workers; w == 1 || len(m.resolved) < regionMoveParallelMin {
+		for i := range m.resolved {
+			plan(int32(i))
+		}
+	} else {
 		// Locality-sharded planning: each worker streams the nodes of the
-		// grid regions it owns, instead of an arbitrary index span — the
-		// same spatial partition the commit shards by, so the buckets are
-		// computed once and reused there. PlanStep is pure, so any
-		// partition yields identical plans; only cache traffic changes.
+		// grid regions it owns — the same spatial partition the commit
+		// shards by, so the buckets are computed once and serve both.
+		// PlanStep is pure, so any partition yields identical plans; only
+		// cache traffic changes.
 		buckets = m.bucketByRegion(w)
 		var wg sync.WaitGroup
 		wg.Add(len(buckets))
@@ -382,19 +384,11 @@ func (m *Mobility) stepTwoPhase(model Planner) {
 			go func(idxs []int32) {
 				defer wg.Done()
 				for _, i := range idxs {
-					next, moved, arrived := model.PlanStep(m.resolved[i], now, m.tick)
-					plans[i] = stepPlan{next: next, moved: moved, arrived: arrived}
+					plan(i)
 				}
 			}(bucket)
 		}
 		wg.Wait()
-	} else {
-		runSharded(len(m.resolved), w, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				next, moved, arrived := model.PlanStep(m.resolved[i], now, m.tick)
-				plans[i] = stepPlan{next: next, moved: moved, arrived: arrived}
-			}
-		})
 	}
 	for i, node := range m.resolved {
 		if plans[i].moved {
@@ -404,14 +398,7 @@ func (m *Mobility) stepTwoPhase(model Planner) {
 			model.CommitArrival(m.net, node)
 		}
 	}
-	// Re-index every moved node in one batch: same-region cell moves shard
-	// across the pool, boundary crossings commit serially in canonical
-	// order, and the planner's region buckets (when built) are reused so
-	// the commit never re-buckets (see Network.commitMoves).
 	m.net.commitMoves(m.resolved, buckets)
-	for i, node := range m.resolved {
-		m.arm(m.resIdx[i], node)
-	}
 }
 
 // bucketByRegion shards the resolved due set across w workers by the

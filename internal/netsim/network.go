@@ -205,10 +205,9 @@ func (n *Node) Usage() Usage { return n.usage }
 type Network struct {
 	sim   *Sim
 	nodes map[string]*Node
-	order []string // insertion order, for deterministic iteration
-	list  []*Node  // nodes in insertion order
-	infra []*Node  // infrastructure nodes in insertion order
-	grid  *grid    // position index over non-infrastructure nodes
+	list  []*Node // nodes in insertion order
+	infra []*Node // infrastructure nodes in insertion order
+	grid  *grid   // position index over non-infrastructure nodes
 	cuts  map[[2]string]bool
 	// epoch is the topology epoch: it advances on any change that can
 	// affect connectivity (join, move, up/down, cut/restore) and
@@ -239,18 +238,14 @@ type Network struct {
 	// back up: a node parked on the sparse tick wheel while down must be
 	// re-armed on rejoin (churn, duty cycle) instead of sleeping forever.
 	wakers []*Mobility
-	// regMoves/crossers are reusable classification buffers for the batched
-	// move commit (see commitMoves in parallel.go); ownerMoves holds the
-	// per-worker shards of regMoves so no worker ever reads another
-	// worker's nodes.
-	regMoves, crossers []*Node
-	ownerMoves         [][]*Node
-	// moveFlags marks, per committed node index, same-region movers when
-	// the caller supplies pre-bucketed shards (locality-sharded planning):
-	// the commit then reuses those buckets instead of re-bucketing.
+	// crossers and moveFlags are reusable classification buffers for the
+	// batched move commit (see commitMoves in parallel.go): region crossers
+	// in canonical order, and a per-index mark of same-region movers.
+	crossers  []*Node
 	moveFlags []uint8
-	// DropHandler, when set, observes messages lost to link loss. It runs
-	// inside Send and Broadcast and must not change the topology.
+	// DropHandler, when set, observes messages lost to link loss or an
+	// injected drop, on every hop of Send, Broadcast and SendRouted. It runs
+	// inside the send (or the relay event) and must not change the topology.
 	DropHandler func(from, to string, bytes int)
 
 	// Adversity layer (see faults.go). All zero-valued when no faults are
@@ -300,7 +295,7 @@ func (n *Network) AddNode(id string, pos Position, class LinkClass) *Node {
 	node := &Node{
 		ID: id, Class: class, Up: true,
 		net:      n,
-		orderIdx: len(n.order),
+		orderIdx: len(n.list),
 		infra:    class.Infrastructure,
 		gridPos:  pos,
 	}
@@ -309,7 +304,6 @@ func (n *Network) AddNode(id string, pos Position, class LinkClass) *Node {
 	n.nbrEpochs = append(n.nbrEpochs, 0)
 	n.budgets = append(n.budgets, 0)
 	n.nodes[id] = node
-	n.order = append(n.order, id)
 	if !node.infra {
 		// Grow the grid before inserting so the rebuild (which walks the
 		// existing node list) does not index this node twice.
@@ -355,8 +349,10 @@ func (n *Network) Node(id string) *Node { return n.nodes[id] }
 
 // Nodes returns all node IDs in insertion order.
 func (n *Network) Nodes() []string {
-	out := make([]string, len(n.order))
-	copy(out, n.order)
+	out := make([]string, len(n.list))
+	for i, node := range n.list {
+		out[i] = node.ID
+	}
 	return out
 }
 
@@ -499,7 +495,7 @@ func (n *Network) neighborsOf(node *Node) []*Node {
 // around node, filters them through exact connectivity, resolves the result
 // to insertion order, and refills node's cache with it in place. scratch is
 // the caller's reusable candidate buffer (per-worker during a parallel
-// warm); the possibly-grown buffer is returned for reuse.
+// warm); the possibly-grown buffer is returned for the next call.
 func (n *Network) computeNeighbors(node *Node, scratch []*Node) []*Node {
 	if !node.Up {
 		node.nbrCache = node.nbrCache[:0]
@@ -689,7 +685,7 @@ func (n *Network) Send(from, to string, payload []byte) error {
 	if src.exhausted() {
 		return &ErrExhausted{Node: from}
 	}
-	n.transmit(src, dst, payload)
+	n.transmit(src, dst, payload, false)
 	return nil
 }
 
@@ -697,18 +693,31 @@ func (n *Network) Send(from, to string, payload []byte) error {
 // pays its own class's per-byte cost on transmission; the receiver pays its
 // own class's per-byte cost on reception (a GPRS subscriber is billed for
 // downlink bytes too). Serialisation runs at the bottleneck bandwidth of the
-// pair.
-func (n *Network) transmit(src, dst *Node, payload []byte) {
-	n.transmitShared(src, dst, payload, false)
+// pair. When shared is true, payload is already a private immutable copy
+// owned by the network and is captured directly by the delivery event —
+// Broadcast uses this to pay one allocation per broadcast instead of one
+// per receiver. Delivered payloads are shared between receivers, so
+// handlers must not mutate them.
+func (n *Network) transmit(src, dst *Node, payload []byte, shared bool) {
+	t, jitter, ok := n.launch(src, dst, len(payload))
+	if !ok {
+		return
+	}
+	data := payload
+	if !shared {
+		data = n.getPayload(len(payload))
+		copy(data, payload)
+	}
+	n.sim.scheduleDelivery(t+jitter, src, dst, data, t, !shared)
 }
 
-// transmitShared is transmit with copy control: when shared is true,
-// payload is already a private immutable copy owned by the network and is
-// captured directly by the delivery event — Broadcast uses this to pay one
-// allocation per broadcast instead of one per receiver. Delivered payloads
-// are shared between receivers, so handlers must not mutate them.
-func (n *Network) transmitShared(src, dst *Node, payload []byte, shared bool) {
-	size := len(payload)
+// launch is the send half of one hop, shared by direct sends and routed
+// relays: it charges src for size bytes over the pair's bottleneck link,
+// then draws link loss and the adversity layer's drop and jitter. ok=false
+// means the message was lost — counted in src's MsgsLost and reported to
+// DropHandler. Otherwise it arrives after t+jitter, where t (latency plus
+// serialisation) is the airtime charged.
+func (n *Network) launch(src, dst *Node, size int) (t, jitter time.Duration, ok bool) {
 	class := bottleneck(src.Class, dst.Class)
 	// Resolve the adversity layer first: bandwidth degradation slows the
 	// charged serialisation time, not just the delivery schedule.
@@ -721,43 +730,28 @@ func (n *Network) transmitShared(src, dst *Node, payload []byte, shared bool) {
 			}
 		}
 	}
-	t := transferTime(class, size)
+	t = transferTime(class, size)
 	src.usage.BytesSent += int64(size)
 	src.usage.MsgsSent++
 	src.usage.Cost += src.Class.CostPerByte * float64(size)
 	src.usage.Energy += src.Class.EnergyPerByte * float64(size)
 	src.usage.Airtime += t
 
-	if n.sim.Rand().Float64() < class.Loss {
+	lost := n.sim.Rand().Float64() < class.Loss
+	if !lost && impaired {
+		lost, jitter = n.applyImpairment(imp)
+	}
+	if lost {
 		src.usage.MsgsLost++
 		if n.DropHandler != nil {
 			n.DropHandler(src.ID, dst.ID, size)
 		}
-		return
+		return t, 0, false
 	}
-	var jitter time.Duration
-	if impaired {
-		dropped, extra := n.applyImpairment(imp)
-		if dropped {
-			src.usage.MsgsLost++
-			if n.DropHandler != nil {
-				n.DropHandler(src.ID, dst.ID, size)
-			}
-			return
-		}
-		jitter = extra
-	}
-	data := payload
-	pooled := false
-	if !shared {
-		data = n.getPayload(size)
-		copy(data, payload)
-		pooled = true
-	}
-	n.sim.scheduleDelivery(t+jitter, src, dst, data, t, pooled)
+	return t, jitter, true
 }
 
-// deliver is the arrival half of transmitShared, invoked by the simulator
+// deliver is the arrival half of transmit, invoked by the simulator
 // when a typed delivery event fires: it re-checks the destination at
 // delivery time (the node may have gone down, died of battery exhaustion or
 // lost its handler in flight), charges reception, and runs the handler.
@@ -817,7 +811,7 @@ func (n *Network) Broadcast(from string, payload []byte) int {
 	data := make([]byte, len(payload))
 	copy(data, payload)
 	for _, dst := range neighbors {
-		n.transmitShared(src, dst, data, true)
+		n.transmit(src, dst, data, true)
 	}
 	return len(neighbors)
 }
@@ -862,40 +856,15 @@ func (n *Network) forwardAlong(path []string, payload []byte) {
 		return
 	}
 	if len(path) == 2 {
-		n.transmit(src, dst, payload)
+		n.transmit(src, dst, payload, false)
 		return
 	}
 	// Relay hop: charge the link, then continue after the transfer delay.
-	size := len(payload)
-	hop := bottleneck(src.Class, dst.Class)
-	var imp Impairment
-	impaired := false
-	if n.impaired {
-		if imp, impaired = n.impairmentFor(src, dst); impaired {
-			if f := imp.BandwidthFactor; f > 0 && f < 1 {
-				hop.BandwidthBps *= f
-			}
-		}
-	}
-	t := transferTime(hop, size)
-	src.usage.BytesSent += int64(size)
-	src.usage.MsgsSent++
-	src.usage.Cost += src.Class.CostPerByte * float64(size)
-	src.usage.Energy += src.Class.EnergyPerByte * float64(size)
-	src.usage.Airtime += t
-	if n.sim.Rand().Float64() < hop.Loss {
-		src.usage.MsgsLost++
+	t, jitter, ok := n.launch(src, dst, len(payload))
+	if !ok {
 		return
 	}
-	var jitter time.Duration
-	if impaired {
-		dropped, extra := n.applyImpairment(imp)
-		if dropped {
-			src.usage.MsgsLost++
-			return
-		}
-		jitter = extra
-	}
+	size := len(payload)
 	rest := make([]string, len(path)-1)
 	copy(rest, path[1:])
 	n.sim.Schedule(t+jitter, func() {

@@ -253,6 +253,35 @@ func TestSendRouted(t *testing.T) {
 	}
 }
 
+// TestSendRoutedReportsRelayDrops pins that DropHandler sees every loss of
+// a routed send, the relay hop's as well as the last hop's: over a lossy
+// chain the reported drops must equal the summed MsgsLost accounts.
+func TestSendRoutedReportsRelayDrops(t *testing.T) {
+	s := NewSim(3)
+	net := NewNetwork(s)
+	lossy := losslessAdHoc()
+	lossy.Loss = 0.5
+	net.AddNode("a", Position{0, 0}, lossy)
+	net.AddNode("m", Position{25, 0}, lossy)
+	net.AddNode("b", Position{50, 0}, lossy)
+	net.SetHandler("b", func(string, []byte) {})
+	dropped := 0
+	net.DropHandler = func(string, string, int) { dropped++ }
+	for i := 0; i < 200; i++ {
+		if _, err := net.SendRouted("a", "b", []byte("msg")); err != nil {
+			t.Fatalf("SendRouted: %v", err)
+		}
+	}
+	s.RunUntilIdle(0)
+	lost := net.TotalUsage().MsgsLost
+	if relay := net.UsageOf("a").MsgsLost; relay == 0 {
+		t.Fatal("no relay-hop loss at 50% loss; the test does not exercise the relay drop path")
+	}
+	if int64(dropped) != lost {
+		t.Fatalf("DropHandler saw %d drops, usage accounts lost %d", dropped, lost)
+	}
+}
+
 func TestSendRoutedNoPath(t *testing.T) {
 	s := NewSim(1)
 	net := NewNetwork(s)

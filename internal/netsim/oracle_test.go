@@ -77,7 +77,7 @@ func (n *Network) connectedLinear(a, b string) bool {
 // neighborsLinear is the original full-scan Neighbors.
 func (n *Network) neighborsLinear(id string) []string {
 	var out []string
-	for _, other := range n.order {
+	for _, other := range n.Nodes() {
 		if other != id && n.connectedLinear(id, other) {
 			out = append(out, other)
 		}
@@ -98,7 +98,7 @@ func (n *Network) routeLinear(a, b string) []string {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range n.order {
+		for _, next := range n.Nodes() {
 			if _, seen := prev[next]; seen || !n.connectedLinear(cur, next) {
 				continue
 			}

@@ -8,11 +8,11 @@ import (
 // This file is the parallel half of the two-phase tick pipeline.
 //
 // The event loop itself stays single-goroutine: handlers run serially and
-// may touch anything. What goes parallel is the bulk per-tick geometry work
-// that dominates wall-clock at thousands of nodes — mobility integration
-// (phase 1 of a Mobility tick, see mobility.go) and neighbor-set
-// recomputation after a topology change (the warm pass below). Both follow
-// the same discipline:
+// may touch anything. The bulk per-tick geometry work that dominates
+// wall-clock at thousands of nodes — mobility integration (phase 1 of a
+// Mobility tick, see mobility.go) and neighbor-set recomputation after a
+// topology change (the warm pass below) — shards across the worker pool
+// when there is more than one worker. Both follow the same discipline:
 //
 //   - phase 1 is pure: workers read a topology snapshot nobody mutates and
 //     write only state owned by their shard (per-node plan slots, per-node
@@ -20,17 +20,17 @@ import (
 //   - phase 2 commits mutations and performs every RNG draw serially, in
 //     canonical node order, on the event-loop goroutine.
 //
-// Because the RNG stream and every commit happen in exactly the order the
-// serial engine uses, a given seed produces bit-identical results at any
-// worker count; only wall-clock changes.
+// The pipeline is the same at one worker — phase 1 then simply runs inline —
+// so a given seed produces bit-identical results at any worker count; only
+// wall-clock changes.
 
 // AutoWorkers returns the worker count SetWorkers resolves 0 to: the
 // process's GOMAXPROCS.
 func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// SetWorkers sizes the network's tick worker pool. 1 (the default) keeps
-// every computation on the event-loop goroutine; values above 1 enable the
-// two-phase parallel tick pipeline; 0 or negative selects GOMAXPROCS.
+// SetWorkers sizes the network's tick worker pool. 1 (the default) runs the
+// tick pipeline on the event-loop goroutine; values above 1 shard its bulk
+// phases across that many goroutines; 0 or negative selects GOMAXPROCS.
 // Results are identical at any setting — only wall-clock changes.
 func (n *Network) SetWorkers(w int) {
 	if w <= 0 {
@@ -99,19 +99,19 @@ func (n *Network) warmNeighborCaches() {
 	n.epochMisses = 0
 }
 
-// Region-sharded spatial re-indexing: the commit half of a parallel
-// mobility tick batches every position change and splits the grid work by
-// coarse region. A move that stays inside one region only touches that
-// region's cell buckets, so whole regions shard across the pool with no
-// locks — each region has exactly one owner per commit. Moves that cross a
-// region boundary mutate the region directory (materialize, retire,
-// counts), so they hand off to a serial pass in canonical node order.
-// Either way the grid ends in a state queries cannot distinguish from
-// per-node serial updates: bucket order is unspecified and every query
-// sorts to insertion order before anything order-sensitive.
+// Region-sharded spatial re-indexing: the commit half of a mobility tick
+// batches every position change and splits the grid work by coarse region.
+// A move that stays inside one region only touches that region's cell
+// buckets, so whole regions shard across the pool with no locks — each
+// region has exactly one owner per commit. Moves that cross a region
+// boundary mutate the region directory (materialize, retire, counts), so
+// they hand off to a serial pass in canonical node order. Either way the
+// grid ends in a state queries cannot distinguish from per-node serial
+// updates: bucket order is unspecified and every query sorts to insertion
+// order before anything order-sensitive.
 
-// regionMoveParallelMin gates the sharded same-region pass: below it the
-// per-worker scan costs more than the moves.
+// regionMoveParallelMin gates sharding a tick's planning and its
+// same-region moves: below it the fan-out costs more than the work.
 const regionMoveParallelMin = 256
 
 // regionOwner assigns a region to one worker deterministically.
@@ -123,32 +123,29 @@ func regionOwner(rk regionKey, workers int) int {
 
 // commitMoves re-indexes every node in nodes whose position changed,
 // equivalent to calling nodeMoved on each in order: the topology epoch
-// advances once per moved non-infrastructure node (as the dense loop's
-// per-node bumps would) and the grid reflects every new position. Epoch
-// values are only observable between ticks, so the batched advance is
-// invisible to queries.
+// advances once per moved non-infrastructure node (as per-node bumps
+// would) and the grid reflects every new position. Epoch values are only
+// observable between ticks, so the batched advance is invisible to
+// queries.
 //
-// buckets, when non-nil, are the locality shards phase 1 planned under:
-// per-owner lists of indices into nodes, sharded by regionOwner of each
-// node's pre-move region. A same-region move cannot change its region — so
-// it cannot change its owner — and the commit reuses the buckets as-is
-// instead of re-bucketing: the serial pass only flags which indices are
-// same-region movers, and each worker walks its own bucket. nil buckets
-// select the self-bucketing path.
+// nil buckets re-index each mover in canonical order. Otherwise buckets are
+// the locality shards phase 1 planned under: per-owner lists of indices
+// into nodes, sharded by regionOwner of each node's pre-move region. A
+// same-region move cannot change its owner, so once regionMoveParallelMin
+// nodes move within their region each worker re-indexes the flagged movers
+// of its own bucket; fewer go serially in canonical order. Region crossers
+// always go last.
 func (n *Network) commitMoves(nodes []*Node, buckets [][]int32) {
 	g := n.grid
-	moved := 0
-	regCount := 0
-	reuse := buckets != nil
-	if reuse {
+	if buckets != nil {
 		if cap(n.moveFlags) < len(nodes) {
 			n.moveFlags = make([]uint8, len(nodes))
 		}
 		n.moveFlags = n.moveFlags[:len(nodes)]
 		clear(n.moveFlags)
 	}
-	n.regMoves = n.regMoves[:0]
 	n.crossers = n.crossers[:0]
+	moved, regCount := 0, 0
 	for i, node := range nodes {
 		pos := node.Pos()
 		if pos == node.gridPos {
@@ -159,18 +156,14 @@ func (n *Network) commitMoves(nodes []*Node, buckets [][]int32) {
 			continue
 		}
 		moved++
-		k := g.keyFor(pos)
-		if k == node.cell {
-			continue
-		}
-		if regionOf(k) == regionOf(node.cell) {
+		switch k := g.keyFor(pos); {
+		case k == node.cell:
+		case buckets == nil:
+			g.update(node)
+		case regionOf(k) == regionOf(node.cell):
+			n.moveFlags[i] = 1
 			regCount++
-			if reuse {
-				n.moveFlags[i] = 1
-			} else {
-				n.regMoves = append(n.regMoves, node)
-			}
-		} else {
+		default:
 			n.crossers = append(n.crossers, node)
 		}
 	}
@@ -179,9 +172,7 @@ func (n *Network) commitMoves(nodes []*Node, buckets [][]int32) {
 	}
 	n.epoch += uint64(moved)
 	n.epochMisses = 0
-	w := n.workers
-	switch {
-	case reuse && w > 1 && regCount >= regionMoveParallelMin:
+	if regCount >= regionMoveParallelMin {
 		var wg sync.WaitGroup
 		wg.Add(len(buckets))
 		for _, bucket := range buckets {
@@ -199,44 +190,11 @@ func (n *Network) commitMoves(nodes []*Node, buckets [][]int32) {
 			}(bucket)
 		}
 		wg.Wait()
-	case reuse:
-		// Too few movers to shard: serial, in canonical node order.
+	} else if regCount > 0 {
 		for i, node := range nodes {
 			if n.moveFlags[i] == 1 {
 				g.update(node)
 			}
-		}
-	case w > 1 && regCount >= regionMoveParallelMin:
-		// Shard serially first: a worker must only ever touch its own
-		// nodes — addToCell rewrites node.cell, so another worker testing
-		// ownership via regionOf(node.cell) mid-update would race (the
-		// region value couldn't change, but the read itself is unsynchronized).
-		for len(n.ownerMoves) < w {
-			n.ownerMoves = append(n.ownerMoves, nil)
-		}
-		for i := 0; i < w; i++ {
-			n.ownerMoves[i] = n.ownerMoves[i][:0]
-		}
-		for _, node := range n.regMoves {
-			o := regionOwner(regionOf(node.cell), w)
-			n.ownerMoves[o] = append(n.ownerMoves[o], node)
-		}
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for owner := 0; owner < w; owner++ {
-			go func(own []*Node) {
-				defer wg.Done()
-				for _, node := range own {
-					reg := g.regions[regionOf(node.cell)]
-					reg.removeFromCell(node)
-					reg.addToCell(node, g.keyFor(node.gridPos))
-				}
-			}(n.ownerMoves[owner])
-		}
-		wg.Wait()
-	default:
-		for _, node := range n.regMoves {
-			g.update(node)
 		}
 	}
 	// Boundary crossings last, serially, in canonical node order: they

@@ -9,7 +9,7 @@ import (
 // BenchmarkStepParallel measures the two-phase tick pipeline: one full
 // simulated tick — a mobility step over every node plus a field-wide
 // neighbor burst (what a beacon round costs the topology layer) — at crowd
-// sizes from 1k to 10k nodes and worker counts from 1 (the serial engine)
+// sizes from 1k to 10k nodes and worker counts from 1 (all on the event loop)
 // to 8. The speedup curve of interest is workers=N vs workers=1 at fixed n;
 // results are bit-identical across the whole matrix, only wall-clock moves.
 // The n=100000 rows are the metropolis scale the hierarchical grid and the

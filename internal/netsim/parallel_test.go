@@ -13,13 +13,14 @@ import (
 // waypoint, with every node broadcasting a small frame every beaconIvl (the
 // burst that makes the whole field's neighbor sets hot at one epoch).
 func buildCrowd(seed int64, n, workers int, beaconIvl time.Duration) (*Sim, *Network) {
-	return buildCrowdOn(NewSim(seed), seed, n, workers, beaconIvl)
+	return buildCrowdOn(NewSim(seed), seed, n, workers, beaconIvl, nil)
 }
 
 // buildCrowdOn is buildCrowd over a caller-supplied simulator, so the
 // wheel-vs-heap scheduler differential can run the same crowd on both event
-// queue engines.
-func buildCrowdOn(sim *Sim, seed int64, n, workers int, beaconIvl time.Duration) (*Sim, *Network) {
+// queue engines. wrap, when non-nil, wraps the crowd's waypoint model (see
+// hidePlanner).
+func buildCrowdOn(sim *Sim, seed int64, n, workers int, beaconIvl time.Duration, wrap func(*RandomWaypoint) MobilityModel) (*Sim, *Network) {
 	net := NewNetwork(sim)
 	net.SetWorkers(workers)
 	field := math.Sqrt(float64(n) * math.Pi * 40 * 40 / 5) // ~5 expected neighbors
@@ -30,9 +31,12 @@ func buildCrowdOn(sim *Sim, seed int64, n, workers int, beaconIvl time.Duration)
 		net.AddNode(ids[i], Position{X: rng.Float64() * field, Y: rng.Float64() * field}, AdHoc)
 		net.SetHandler(ids[i], func(string, []byte) {})
 	}
-	net.StartMobility(&RandomWaypoint{
-		FieldW: field, FieldH: field, SpeedMin: 1, SpeedMax: 5, Pause: 3 * time.Second,
-	}, time.Second, ids...)
+	rw := &RandomWaypoint{FieldW: field, FieldH: field, SpeedMin: 1, SpeedMax: 5, Pause: 3 * time.Second}
+	var model MobilityModel = rw
+	if wrap != nil {
+		model = wrap(rw)
+	}
+	net.StartMobility(model, time.Second, ids...)
 	if beaconIvl > 0 {
 		payload := make([]byte, 64)
 		var burst func()
@@ -62,21 +66,96 @@ func crowdFingerprint(net *Network) string {
 	return string(sb)
 }
 
+// stepOnly re-exposes a model with its Planner split hidden and its
+// Quiescer kept, so Mobility steps it node by node through Step.
+type stepOnly struct {
+	MobilityModel
+	Quiescer
+}
+
+// hidePlanner wraps m as stepOnly: the per-node serial reference the
+// plan → commit pipeline must match bit for bit at every worker count.
+func hidePlanner(m *RandomWaypoint) MobilityModel { return stepOnly{m, m} }
+
 // TestTwoPhaseTickMatchesSerial is the netsim-level differential: the same
-// seeded crowd run under the serial engine and under the two-phase parallel
-// engine must end bit-identical — positions, RNG-dependent loss accounting,
-// neighbor sets and topology epochs all included.
+// seeded crowd stepped node by node through Step and run through the
+// plan → commit pipeline at every worker count must end bit-identical —
+// positions, RNG-dependent loss accounting, neighbor sets and topology
+// epochs all included.
 func TestTwoPhaseTickMatchesSerial(t *testing.T) {
 	const n = 400
-	run := func(workers int) string {
-		sim, net := buildCrowd(42, n, workers, 5*time.Second)
+	run := func(workers int, wrap func(*RandomWaypoint) MobilityModel) string {
+		sim, net := buildCrowdOn(NewSim(42), 42, n, workers, 5*time.Second, wrap)
 		sim.Run(60 * time.Second)
 		return crowdFingerprint(net)
 	}
-	serial := run(1)
-	for _, w := range []int{2, 4, 8} {
-		if got := run(w); got != serial {
-			t.Fatalf("workers=%d diverged from serial engine (fingerprints differ)", w)
+	serial := run(1, hidePlanner)
+	for _, w := range []int{1, 2, 4, 8} {
+		if got := run(w, nil); got != serial {
+			t.Fatalf("workers=%d diverged from the Step reference (fingerprints differ)", w)
+		}
+	}
+}
+
+// TestShardedMoveCommitMatchesSerial drives commitMoves' region-sharded
+// pass: a crowd fast enough that most walkers change cell every tick, with
+// an infrastructure node walking among them. One measured tick must move
+// at least regionMoveParallelMin nodes to another cell of their region,
+// after which the grid must agree with a rescan and the whole world with
+// the Step reference.
+func TestShardedMoveCommitMatchesSerial(t *testing.T) {
+	const n, field, ticks = 800, 1920.0, 10
+	build := func(workers int, wrap func(*RandomWaypoint) MobilityModel) (*Sim, *Network) {
+		sim := NewSim(5)
+		net := NewNetwork(sim)
+		net.SetWorkers(workers)
+		rng := rand.New(rand.NewSource(5))
+		ids := make([]string, n, n+1)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("n%04d", i)
+			net.AddNode(ids[i], Position{X: rng.Float64() * field, Y: rng.Float64() * field}, AdHoc)
+		}
+		net.AddNode("infra", Position{X: field / 2, Y: field / 2}, LAN)
+		ids = append(ids, "infra")
+		rw := &RandomWaypoint{FieldW: field, FieldH: field, SpeedMin: 25, SpeedMax: 35}
+		var model MobilityModel = rw
+		if wrap != nil {
+			model = wrap(rw)
+		}
+		net.StartMobility(model, time.Second, ids...)
+		return sim, net
+	}
+	fingerprint := func(sim *Sim, net *Network) string {
+		return crowdFingerprint(net) + fmt.Sprint(sim.Rand().Int63())
+	}
+	refSim, refNet := build(1, hidePlanner)
+	refSim.Run(ticks * time.Second)
+	want := fingerprint(refSim, refNet)
+	for _, w := range []int{2, 8} {
+		sim, net := build(w, nil)
+		sim.Run((ticks - 1) * time.Second)
+		before := make([]Position, len(net.list))
+		for i, node := range net.list {
+			before[i] = node.Pos()
+		}
+		sim.RunFor(time.Second)
+		sameRegion := 0
+		for i, node := range net.list {
+			from, to := net.grid.keyFor(before[i]), net.grid.keyFor(node.Pos())
+			if !node.infra && from != to && regionOf(from) == regionOf(to) {
+				sameRegion++
+			}
+		}
+		if sameRegion < regionMoveParallelMin {
+			t.Fatalf("workers=%d: only %d same-region cell moves in the measured tick, want >= %d",
+				w, sameRegion, regionMoveParallelMin)
+		}
+		if infra := net.Node("infra"); infra.Pos() == before[infra.orderIdx] {
+			t.Fatalf("workers=%d: the infrastructure walker did not move in the measured tick", w)
+		}
+		auditGrid(t, net, field)
+		if got := fingerprint(sim, net); got != want {
+			t.Fatalf("workers=%d diverged from the Step reference (fingerprints differ)", w)
 		}
 	}
 }
@@ -124,6 +203,15 @@ func TestGridMatchesRescanAfterParallelTicks(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sim.RunFor(time.Second)
 	}
+	auditGrid(t, net, 500)
+}
+
+// auditGrid checks the spatial index against a linear rescan: every
+// ad-hoc node is indexed in exactly the cell its position hashes to with
+// self-consistent slot bookkeeping, region and grid counts match, and ring
+// queries over a lattice spanning field metres miss no node in range.
+func auditGrid(t *testing.T, net *Network, field float64) {
+	t.Helper()
 	g := net.grid
 	indexed := 0
 	for rk, reg := range g.regions {
@@ -158,14 +246,14 @@ func TestGridMatchesRescanAfterParallelTicks(t *testing.T) {
 			t.Fatalf("region %v retained while empty", rk)
 		}
 	}
-	if indexed != g.count || indexed != len(net.Nodes()) {
-		t.Fatalf("grid indexes %d nodes, count says %d, network has %d",
-			indexed, g.count, len(net.Nodes()))
+	if adhoc := len(net.list) - len(net.infra); indexed != g.count || indexed != adhoc {
+		t.Fatalf("grid indexes %d nodes, count says %d, network has %d ad-hoc nodes",
+			indexed, g.count, adhoc)
 	}
 	// Ring queries vs linear rescan on a lattice of probe points.
 	for qx := 0.0; qx <= 1; qx += 0.25 {
 		for qy := 0.0; qy <= 1; qy += 0.25 {
-			center := Position{X: qx * 500, Y: qy * 500}
+			center := Position{X: qx * field, Y: qy * field}
 			const radius = 60.0
 			got := map[string]bool{}
 			for _, node := range g.appendWithin(center, radius, nil) {
@@ -173,7 +261,7 @@ func TestGridMatchesRescanAfterParallelTicks(t *testing.T) {
 			}
 			for _, id := range net.Nodes() {
 				node := net.Node(id)
-				if node.Pos().Dist(center) <= radius && !got[id] {
+				if !node.infra && node.Pos().Dist(center) <= radius && !got[id] {
 					t.Fatalf("linear rescan finds %s within %gm of %v but the grid ring misses it",
 						id, radius, center)
 				}

@@ -13,7 +13,7 @@ import (
 func TestWheelSchedulerMatchesHeapOracle(t *testing.T) {
 	const n = 400
 	run := func(mk func(int64) *Sim, workers int) string {
-		sim, net := buildCrowdOn(mk(42), 42, n, workers, 5*time.Second)
+		sim, net := buildCrowdOn(mk(42), 42, n, workers, 5*time.Second, nil)
 		sim.Run(60 * time.Second)
 		return crowdFingerprint(net)
 	}

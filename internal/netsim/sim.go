@@ -10,13 +10,12 @@
 //
 // The event loop is single-goroutine: handlers run inside Run and must not
 // block. Determinism comes from the virtual clock plus a seeded PRNG; a
-// given seed always reproduces the same run. At scale, the bulk per-tick
-// work — mobility integration and neighbor-set recomputation — runs as a
-// two-phase pipeline sharded across a worker pool (Network.SetWorkers):
-// phase 1 computes in parallel against a read-only topology snapshot,
+// given seed always reproduces the same run. The bulk per-tick work —
+// mobility integration and neighbor-set recomputation — runs as a
+// two-phase pipeline: phase 1 computes against a read-only topology
+// snapshot, inline or sharded across a worker pool (Network.SetWorkers);
 // phase 2 commits mutations and RNG draws serially in canonical node order,
-// so results stay bit-identical to the serial engine at any worker count.
-// See parallel.go.
+// so results are bit-identical at any worker count. See parallel.go.
 package netsim
 
 import (
@@ -34,7 +33,7 @@ type Sim struct {
 	seed  int64
 	// free holds recycled delivery events. Only typed delivery events land
 	// here: they are created internally and never handed to callers, so no
-	// outside reference can observe the reuse. Events returned by Schedule
+	// outside reference can observe the recycling. Events returned by Schedule
 	// (and the cancel closures from After) are never recycled.
 	free []*Event
 }
@@ -122,7 +121,7 @@ func (s *Sim) scheduleDelivery(delay time.Duration, src, dst *Node, data []byte,
 
 // fire executes a popped event. Typed delivery events are recycled into the
 // free list first (their parameters are copied out), so the delivery handler
-// can immediately reuse the event for anything it schedules. Plain callback
+// can immediately recycle the event for anything it schedules. Plain callback
 // events were handed to their scheduler and are never recycled.
 func (s *Sim) fire(e *Event) {
 	if e.dst == nil {

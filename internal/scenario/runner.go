@@ -18,8 +18,8 @@ var defaultWorkers atomic.Int32
 func init() { defaultWorkers.Store(1) }
 
 // SetDefaultWorkers sets the tick worker pool size newly built worlds
-// inherit: 1 keeps the serial engine, values above 1 enable netsim's
-// two-phase parallel tick, and 0 or negative selects GOMAXPROCS. Per-seed
+// inherit: 1 runs netsim's tick on the event-loop goroutine, values above 1
+// shard its bulk phases, and 0 or negative selects GOMAXPROCS. Per-seed
 // results are bit-identical at any setting; only wall-clock changes.
 func SetDefaultWorkers(w int) {
 	if w <= 0 {

@@ -520,11 +520,11 @@ func GreedyGeoCaps(w *World) func(*AgentPlatform, *Unit) []vm.HostFunc {
 func NewWorld(seed int64) *World { return scenario.NewWorld(seed) }
 
 // SetDefaultWorkers sizes the tick worker pool newly built worlds inherit:
-// 1 keeps the serial engine, values above 1 shard each world's mobility and
-// neighbor recomputation across that many workers, 0 or negative selects
-// GOMAXPROCS. Per-seed results are bit-identical at any setting — workers
-// only change wall-clock. A Scenario can override per-spec via its Workers
-// field.
+// 1 runs each world's tick on its event-loop goroutine, values above 1 shard
+// its mobility and neighbor recomputation across that many workers, 0 or
+// negative selects GOMAXPROCS. Per-seed results are bit-identical at any
+// setting — workers only change wall-clock. A Scenario can override
+// per-spec via its Workers field.
 func SetDefaultWorkers(w int) { scenario.SetDefaultWorkers(w) }
 
 // RunSpec compiles and runs a scenario for one seed, returning the compiled
