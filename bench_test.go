@@ -435,8 +435,9 @@ func BenchmarkSchedulerArm(b *testing.B) {
 // BenchmarkBeaconCadence measures one beacon interval of discovery traffic
 // over a dense grid of ad-hoc nodes, n separately started beacons (each
 // its own batch of one) vs one BeaconBatch: the shared batch replaces n
-// timer re-arms per interval with one wheel callback and shares a single
-// sorted scratch across every member's frame rebuild.
+// timer re-arms per interval with one wheel callback. Each member encodes
+// its frame straight from its service-sorted ads, rebuilding it only after
+// Advertise or Withdraw.
 func BenchmarkBeaconCadence(b *testing.B) {
 	const ivl = 30 * time.Second
 	for _, mode := range []string{"perhost", "batch"} {

@@ -11,16 +11,14 @@ import (
 // on its own is the sole member of a batch of one, and a city of hosts in
 // one batch keeps one timer alive instead of one per host. Each tick
 // broadcasts for the running members in the order they were added (worlds
-// add in canonical node order), sharing one scratch buffer for frame
-// rebuilds. A member broadcasts the moment it starts; a stopped member is
-// skipped, and the last one to stop cancels the timer. A start while the
-// batch is idle re-arms it one interval on, so a batch of one keeps a lone
-// beacon's exact Stop/Start timing.
+// add in canonical node order). A member broadcasts the moment it starts; a
+// stopped member is skipped, and the last one to stop cancels the timer. A
+// start while the batch is idle re-arms it one interval on, so a batch of
+// one keeps a lone beacon's exact Stop/Start timing.
 type BeaconBatch struct {
 	sched    transport.Scheduler
 	interval time.Duration
 	members  []*Beacon
-	scratch  []string
 	running  int    // members currently beaconing
 	stop     func() // cancels the armed tick; nil while the batch is idle
 }
@@ -59,7 +57,7 @@ func (g *BeaconBatch) Add(b *Beacon) {
 func (g *BeaconBatch) start(b *Beacon) {
 	b.running = true
 	g.running++
-	g.scratch = b.tickOnce(g.scratch)
+	b.tickOnce()
 	if g.stop == nil {
 		g.stop = g.sched.After(g.interval, g.tick)
 	}
@@ -78,7 +76,7 @@ func (g *BeaconBatch) halt(b *Beacon) {
 func (g *BeaconBatch) tick() {
 	for _, b := range g.members {
 		if b.running {
-			g.scratch = b.tickOnce(g.scratch)
+			b.tickOnce()
 		}
 	}
 	g.stop = g.sched.After(g.interval, g.tick)

@@ -1,7 +1,8 @@
 package discovery
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"logmob/internal/transport"
@@ -17,9 +18,9 @@ type Beacon struct {
 	ep       transport.Endpoint
 	sched    transport.Scheduler
 	interval time.Duration
-	local    map[string]Ad // service -> own ad
-	frame    []byte        // cached encoded beacon; nil after local changes
-	cache    *adTable
+	local    []Ad   // own ads, sorted by service
+	frame    []byte // cached encoded beacon; nil after local changes
+	cache    adTable
 	running  bool
 	batch    *BeaconBatch
 	// Heard counts beacon messages received.
@@ -34,7 +35,7 @@ type Beacon struct {
 	// disables miss tracking entirely and changes nothing. Set it before
 	// the first beacons are heard; providers heard earlier are not tracked.
 	MissEvict int
-	// Evicted counts ads removed by miss eviction.
+	// Evicted counts unexpired ads removed by miss eviction.
 	Evicted   int64
 	lastHeard map[string]time.Duration // provider -> time of last beacon
 }
@@ -51,8 +52,7 @@ func NewBeacon(ep transport.Endpoint, sched transport.Scheduler, interval time.D
 		ep:       ep,
 		sched:    sched,
 		interval: interval,
-		local:    make(map[string]Ad),
-		cache:    newAdTable(sched.Now),
+		cache:    adTable{now: sched.Now},
 	}
 	ep.SetHandler(b.handle)
 	return b
@@ -68,15 +68,24 @@ func (b *Beacon) Advertise(ad Ad) {
 	if ad.TTL <= 0 {
 		ad.TTL = 3 * b.interval
 	}
-	b.local[ad.Service] = ad
+	if i, ok := slices.BinarySearchFunc(b.local, ad.Service, byService); ok {
+		b.local[i] = ad
+	} else {
+		b.local = slices.Insert(b.local, i, ad)
+	}
 	b.frame = nil
 }
 
 // Withdraw removes a local advertisement. Neighbors expire it by TTL.
 func (b *Beacon) Withdraw(service string) {
-	delete(b.local, service)
-	b.frame = nil
+	if i, ok := slices.BinarySearchFunc(b.local, service, byService); ok {
+		b.local = slices.Delete(b.local, i, i+1)
+		b.frame = nil
+	}
 }
+
+// byService orders an ad against a service name, as b.local is sorted.
+func byService(ad Ad, service string) int { return strings.Compare(ad.Service, service) }
 
 // Start begins periodic broadcasting. The first beacon goes out immediately.
 // A beacon not added to a BeaconBatch becomes the sole member of a new one;
@@ -97,33 +106,24 @@ func (b *Beacon) Start() {
 // a silent neighbor's ads decay even if nobody ever queries this cache.
 // (Queries still run the same sweep, so a Find between ticks sees exactly
 // what lazy-only eviction produced.) The encoded frame only depends on the
-// ad set (TTLs are relative), so it is built once per Advertise/Withdraw
-// and reused across ticks — at thousands of beaconing nodes the per-tick
-// sort+encode is the discovery hot path. scratch is a reusable sort buffer
-// for frame rebuilds, returned possibly grown so the batch can pool it.
-func (b *Beacon) tickOnce(scratch []string) []string {
+// ad set (TTLs are relative), so it is built once per Advertise/Withdraw,
+// in the local ads' service order, and reused across ticks — at thousands
+// of beaconing nodes the per-tick encode is the discovery hot path.
+func (b *Beacon) tickOnce() {
 	b.evictMissing()
 	if len(b.local) == 0 {
-		return scratch
+		return
 	}
 	if b.frame == nil {
 		var buf wire.Buffer
 		buf.PutUint(uint64(len(b.local)))
-		// Deterministic order.
-		scratch = scratch[:0]
-		for s := range b.local {
-			scratch = append(scratch, s)
-		}
-		sort.Strings(scratch)
-		for _, s := range scratch {
-			ad := b.local[s]
-			ad.encode(&buf)
+		for i := range b.local {
+			b.local[i].encode(&buf)
 		}
 		b.frame = buf.Bytes()
 	}
 	b.ep.Broadcast(b.frame)
 	b.Sent++
-	return scratch
 }
 
 // Stop halts broadcasting. Cached remote ads continue to expire naturally.

@@ -14,6 +14,7 @@
 package discovery
 
 import (
+	"slices"
 	"time"
 
 	"logmob/internal/wire"
@@ -99,28 +100,42 @@ type adKey struct {
 	provider, service string
 }
 
-// lease is the rest of a stored advertisement, with its expiry. The names
-// live only in the key, which keeps a beacon cache's map slots small: every
-// resident of a roaming crowd accumulates a lease per provider it passes.
+// lease is one stored advertisement with its expiry.
 type lease struct {
+	adKey
 	attrs   map[string]string
 	ttl     time.Duration
 	expires time.Duration
 }
 
-func (k adKey) ad(l lease) Ad {
-	return Ad{Service: k.service, Provider: k.provider, Attrs: l.attrs, TTL: l.ttl}
-}
+// adIndexMin is the most leases an adTable finds by linear scan; a lookup
+// server or a hostile frame past it gets a hash index instead.
+const adIndexMin = 64
 
 // adTable is an expiring advertisement store shared by the lookup server and
-// the beacon cache. Single-goroutine (simulation/handler context).
+// the beacon cache. Leases sit in a slice in arrival order, as every roaming
+// resident keeps a table of a few dozen. Expired leases are dropped before
+// the slice grows, which bounds a cache nobody queries. Single-goroutine.
 type adTable struct {
 	now    func() time.Duration
-	leases map[adKey]lease
+	leases []lease
+	index  map[adKey]int32 // lease positions; nil up to adIndexMin leases
+	names  []string        // providers' scratch past adIndexMin leases
 }
 
-func newAdTable(now func() time.Duration) *adTable {
-	return &adTable{now: now, leases: make(map[adKey]lease)}
+// at returns the position of k's lease, or -1.
+func (t *adTable) at(k adKey) int {
+	if i, ok := t.index[k]; ok {
+		return int(i)
+	} else if t.index != nil {
+		return -1
+	}
+	for i := range t.leases {
+		if t.leases[i].adKey == k {
+			return i
+		}
+	}
+	return -1
 }
 
 func (t *adTable) put(ad Ad) {
@@ -128,36 +143,77 @@ func (t *adTable) put(ad Ad) {
 	if ttl <= 0 {
 		ttl = time.Minute
 	}
-	t.leases[adKey{ad.Provider, ad.Service}] = lease{attrs: ad.Attrs, ttl: ad.TTL, expires: t.now() + ttl}
+	l := lease{adKey{ad.Provider, ad.Service}, ad.Attrs, ad.TTL, t.now() + ttl}
+	if i := t.at(l.adKey); i >= 0 {
+		t.leases[i] = l
+		return
+	}
+	if n := len(t.leases); n == cap(t.leases) {
+		t.prune()
+		// Indexed, a prune also rebuilds the index: grow unless it freed n/4.
+		if len(t.leases) == n || (t.index != nil && len(t.leases) > n-n/4) {
+			t.leases = append(make([]lease, 0, max(8, 2*n)), t.leases...)
+		}
+	}
+	t.leases = append(t.leases, l)
+	if t.index != nil {
+		t.index[l.adKey] = int32(len(t.leases) - 1)
+	} else if len(t.leases) > adIndexMin {
+		t.reindex()
+	}
+}
+
+// filter drops, in place and keeping order, every lease gone reports.
+func (t *adTable) filter(gone func(l *lease) bool) {
+	kept := t.leases[:0]
+	for i := range t.leases {
+		if !gone(&t.leases[i]) {
+			kept = append(kept, t.leases[i])
+		}
+	}
+	if len(kept) < len(t.leases) {
+		clear(t.leases[len(kept):])
+		t.leases = kept
+		t.reindex()
+	}
+}
+
+// reindex rebuilds the index, or drops it at adIndexMin leases or fewer.
+func (t *adTable) reindex() {
+	if len(t.leases) <= adIndexMin {
+		t.index, t.names = nil, nil
+		return
+	}
+	t.index = make(map[adKey]int32, len(t.leases))
+	for i := range t.leases {
+		t.index[t.leases[i].adKey] = int32(i)
+	}
 }
 
 func (t *adTable) drop(provider, service string) {
-	delete(t.leases, adKey{provider, service})
+	t.filter(func(l *lease) bool { return l.adKey == adKey{provider, service} })
 }
 
 // dropProvider removes every lease held for one provider, returning how
-// many were dropped (beacon miss-eviction).
+// many unexpired ones were dropped (beacon miss-eviction).
 func (t *adTable) dropProvider(provider string) int {
-	n := 0
-	for key := range t.leases {
-		if key.provider == provider {
-			delete(t.leases, key)
-			n++
+	now, live := t.now(), 0
+	t.filter(func(l *lease) bool {
+		if l.provider == provider && l.expires > now {
+			live++
 		}
-	}
-	return n
+		return l.provider == provider
+	})
+	return live
 }
 
 // find returns matching, unexpired ads and prunes expired ones.
 func (t *adTable) find(q Query) []Ad {
-	now := t.now()
+	t.prune()
 	var out []Ad
-	for key, l := range t.leases {
-		if l.expires <= now {
-			delete(t.leases, key)
-			continue
-		}
-		if ad := key.ad(l); q.Matches(ad) {
+	for _, l := range t.leases {
+		ad := Ad{Service: l.service, Provider: l.provider, Attrs: l.attrs, TTL: l.ttl}
+		if q.Matches(ad) {
 			out = append(out, ad)
 		}
 	}
@@ -168,11 +224,7 @@ func (t *adTable) find(q Query) []Ad {
 // prune drops expired leases.
 func (t *adTable) prune() {
 	now := t.now()
-	for key, l := range t.leases {
-		if l.expires <= now {
-			delete(t.leases, key)
-		}
-	}
+	t.filter(func(l *lease) bool { return l.expires <= now })
 }
 
 func (t *adTable) size() int {
@@ -180,14 +232,23 @@ func (t *adTable) size() int {
 	return len(t.leases)
 }
 
-// providers counts the distinct providers with at least one live lease.
+// providers counts the distinct providers with a live lease. Sensing calls
+// it every tick, so it sorts their names on the stack or in t.names.
 func (t *adTable) providers() int {
 	t.prune()
-	seen := make(map[string]bool)
-	for key := range t.leases {
-		seen[key.provider] = true
+	var small [adIndexMin]string
+	names := small[:0]
+	if len(t.leases) > adIndexMin {
+		if cap(t.names) < len(t.leases) {
+			t.names = make([]string, 0, 2*len(t.leases))
+		}
+		names = t.names[:0]
 	}
-	return len(seen)
+	for i := range t.leases {
+		names = append(names, t.leases[i].provider)
+	}
+	slices.Sort(names)
+	return len(slices.Compact(names))
 }
 
 // sortAds orders ads by (service, provider) for deterministic output.

@@ -15,14 +15,14 @@ type rig struct {
 	sn  *transport.SimNetwork
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	sim := netsim.NewSim(1)
 	net := netsim.NewNetwork(sim)
 	return &rig{sim: sim, net: net, sn: transport.NewSimNetwork(net)}
 }
 
-func (r *rig) addNode(t *testing.T, id string, pos netsim.Position, class netsim.LinkClass) transport.Endpoint {
+func (r *rig) addNode(t testing.TB, id string, pos netsim.Position, class netsim.LinkClass) transport.Endpoint {
 	t.Helper()
 	class.Loss = 0
 	r.net.AddNode(id, pos, class)

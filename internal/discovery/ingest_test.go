@@ -68,3 +68,29 @@ func TestDecodeAdThirdPartyProvider(t *testing.T) {
 		t.Fatalf("decodeAd = %+v", got)
 	}
 }
+
+// BenchmarkBeaconIngest measures discovery ad ingest: a listener re-hearing
+// the beacons of n neighbours, each advertising one service. One op is one
+// round of n frames; n128 runs past adIndexMin on the hash index.
+func BenchmarkBeaconIngest(b *testing.B) {
+	for _, n := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			r := newRig(b)
+			bcn := NewBeacon(r.addNode(b, "listener", netsim.Position{}, netsim.AdHoc), r.sim, 5*time.Second)
+			names, frames := make([]string, n), make([][]byte, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("resident-%05d", i)
+				frames[i] = beaconFrame(Ad{Service: "presence", Provider: names[i], TTL: time.Minute})
+				bcn.handle(names[i], frames[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				for i := range frames {
+					bcn.handle(names[i], frames[i])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/frame")
+		})
+	}
+}

@@ -20,7 +20,7 @@ const (
 // leased service advertisements reachable at a well-known address.
 type LookupServer struct {
 	ep    transport.Endpoint
-	table *adTable
+	table adTable
 	// Registrations counts accepted register messages.
 	Registrations int64
 	// Queries counts handled queries.
@@ -30,7 +30,7 @@ type LookupServer struct {
 // NewLookupServer attaches a lookup service to ep (typically a mux channel)
 // using sched's clock for lease expiry.
 func NewLookupServer(ep transport.Endpoint, sched transport.Scheduler) *LookupServer {
-	s := &LookupServer{ep: ep, table: newAdTable(sched.Now)}
+	s := &LookupServer{ep: ep, table: adTable{now: sched.Now}}
 	ep.SetHandler(s.handle)
 	return s
 }
