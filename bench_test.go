@@ -373,8 +373,8 @@ func BenchmarkT14AdaptiveLoop(b *testing.B) { benchExperiment(b, "T14") }
 
 // BenchmarkT15Metropolis regenerates the metropolis scenario at its
 // differential-test scale (1500 residents — the full 100k run is a
-// multi-minute experiment, not a benchmark iteration): the sparse
-// time-wheel tick, the hierarchical grid's district-local queries and the
+// multi-minute experiment, not a benchmark iteration): sparse mobility
+// ticking, the hierarchical grid's district-local queries and the
 // region-sharded move commit, end to end under all four paradigms. This is
 // the regression canary for the engine that makes the full T15 tractable.
 func BenchmarkT15Metropolis(b *testing.B) {

@@ -35,8 +35,9 @@ import (
 
 // defaultBenches is the hot set: the end-to-end experiment benches the
 // campaign's acceptance criteria name plus the micro-benches over the pooled
-// paths. BenchmarkT15Metropolis gates the sparse-tick engine (time wheel +
-// hierarchical grid) end to end at the metropolis scenario's short config.
+// paths. BenchmarkT15Metropolis gates the sparse-tick engine (scheduled
+// mobility wakes + hierarchical grid) end to end at the metropolis
+// scenario's short config.
 // BenchmarkSchedulerArm/wheel/n100000 gates the timing-wheel event queue's
 // arm+fire cost at six-figure timer counts, and BenchmarkBeaconCadence's
 // batch row gates the shared beacon tick it feeds.

@@ -143,7 +143,10 @@ func main() {
 		}
 	}
 
-	sweepParam, sweepValues := parseSweep(*sweepFlag)
+	sweepParam, sweepValues, err := parseSweep(*sweepFlag)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if sweepParam != "" {
 		for _, e := range selected {
 			if e.RunWith == nil {
@@ -245,23 +248,24 @@ func fatalf(format string, args ...any) {
 }
 
 // parseSweep parses "param=v1,v2,v3" into its parts.
-func parseSweep(s string) (string, []float64) {
+func parseSweep(s string) (string, []float64, error) {
 	if s == "" {
-		return "", nil
+		return "", nil, nil
 	}
 	name, list, ok := strings.Cut(s, "=")
-	if !ok || name == "" || list == "" {
-		fatalf("bad -sweep %q, want param=v1,v2,...", s)
+	name = strings.TrimSpace(name)
+	if !ok || name == "" || strings.TrimSpace(list) == "" {
+		return "", nil, fmt.Errorf("bad -sweep %q, want param=v1,v2,...", s)
 	}
 	var values []float64
 	for _, part := range strings.Split(list, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			fatalf("bad -sweep value %q: %v", part, err)
+			return "", nil, fmt.Errorf("bad -sweep value %q: %v", part, err)
 		}
 		values = append(values, v)
 	}
-	return strings.TrimSpace(name), values
+	return name, values, nil
 }
 
 // render writes a replicated run: each seed's full result, then (for

@@ -13,7 +13,6 @@ import (
 
 	"logmob"
 	"logmob/internal/app"
-	"logmob/internal/netsim"
 )
 
 func main() {
@@ -75,7 +74,7 @@ func main() {
 		})
 
 	// Walk in, leave, come back.
-	net.StartMobility(&netsim.Waypath{
+	net.StartMobility(&logmob.Waypath{
 		Points: []logmob.Position{
 			{X: 110, Y: 100}, // enter
 			{X: 350, Y: 100}, // leave

@@ -12,10 +12,7 @@ import (
 	"time"
 
 	"logmob"
-	"logmob/internal/agent"
 	"logmob/internal/baseline"
-	"logmob/internal/netsim"
-	"logmob/internal/security"
 )
 
 func main() {
@@ -38,7 +35,7 @@ func main() {
 		}
 		h, err := logmob.NewHost(logmob.HostConfig{
 			Name: name, Endpoint: ep, Scheduler: sim,
-			Policy: security.Policy{AllowUnsigned: true},
+			Policy: logmob.SecurityPolicy{AllowUnsigned: true},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -55,7 +52,7 @@ func main() {
 	_ = src
 
 	// Relays patrol the field; endpoints stay put.
-	net.StartMobility(&netsim.RandomWaypoint{
+	net.StartMobility(&logmob.RandomWaypoint{
 		FieldW: 400, FieldH: 100, SpeedMin: 3, SpeedMax: 8, Pause: 2 * time.Second,
 	}, time.Second, "relay-0", "relay-1", "relay-2")
 
@@ -81,8 +78,8 @@ func main() {
 	_ = routedAttempts
 
 	// The agent: store-carry-forward courier.
-	if _, err := platforms["field-post"].Spawn("courier", agent.CourierProgram,
-		agent.NewCourierData("hospital", "disaster", []byte("need supplies")), "main"); err != nil {
+	if _, err := platforms["field-post"].Spawn("courier", logmob.CourierProgram,
+		logmob.NewCourierData("hospital", "disaster", []byte("need supplies")), "main"); err != nil {
 		log.Fatal(err)
 	}
 

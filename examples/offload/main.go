@@ -13,7 +13,6 @@ import (
 
 	"logmob"
 	"logmob/internal/app"
-	"logmob/internal/core"
 )
 
 const (
@@ -34,7 +33,7 @@ func main() {
 	trust := logmob.NewTrustStore()
 	trust.TrustIdentity(user)
 
-	mk := func(name string, class logmob.LinkClass, mutate func(*core.Config)) *logmob.Host {
+	mk := func(name string, class logmob.LinkClass, mutate func(*logmob.HostConfig)) *logmob.Host {
 		net.AddNode(name, logmob.Position{}, class)
 		ep, err := sn.Endpoint(name)
 		if err != nil {
@@ -53,7 +52,7 @@ func main() {
 		}
 		return h
 	}
-	mk("server", logmob.LAN, func(c *core.Config) { c.ComputeRate = deviceRate * serverMult })
+	mk("server", logmob.LAN, func(c *logmob.HostConfig) { c.ComputeRate = deviceRate * serverMult })
 	device := mk("device", logmob.WLAN, nil)
 
 	job := app.BuildPrimeJob(user)

@@ -61,11 +61,11 @@ func main() {
 	if err := kiosk.Publish(v11); err != nil {
 		log.Fatal(err)
 	}
-	update.AdvertiseComponents(kiosk, update.ViaBeacon(kioskBeacon), time.Minute)
+	logmob.AdvertiseComponents(kiosk, update.ViaBeacon(kioskBeacon), time.Minute)
 	fmt.Println("kiosk advertises v1.1 over ad-hoc beacons")
 
 	// The device's updater notices and upgrades itself.
-	up := update.New(device, deviceBeacon, sim, 10*time.Second)
+	up := logmob.NewUpdater(device, deviceBeacon, sim, 10*time.Second)
 	up.OnUpdate = func(name, provider, oldV, newV string) {
 		fmt.Printf("t=%-4v middleware self-update: %s %s -> %s (from %s, signature verified)\n",
 			sim.Now().Round(time.Second), name, oldV, newV, provider)

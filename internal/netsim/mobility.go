@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -34,14 +35,13 @@ type Planner interface {
 }
 
 // Quiescer is an optional MobilityModel extension that reports when a node
-// next needs a Step, letting Mobility park it on the time-wheel instead of
+// next needs a Step, letting Mobility park it until that tick instead of
 // visiting it every tick. The contract: between now and the returned
 // instant, Step must be a pure no-op for the node (no position change, no
 // RNG draw) — skipping those calls outright must be unobservable. ok=false
 // parks the node indefinitely; it is stepped again only after an external
 // wake (Network.SetUp re-arms rejoining nodes). Models that do not
-// implement Quiescer are stepped densely, every node every tick, exactly
-// as before the wheel existed.
+// implement Quiescer are stepped densely, every node every tick.
 type Quiescer interface {
 	NextDue(node *Node, now time.Duration) (at time.Duration, ok bool)
 }
@@ -198,12 +198,14 @@ func (m *Waypath) NextDue(node *Node, now time.Duration) (time.Duration, bool) {
 
 // Mobility attaches a model to a set of nodes and advances them on a fixed
 // tick until stopped. Nodes with nothing due — paused at a waypoint, path
-// exhausted, down — are parked on a time-wheel and cost zero until their
-// wake tick, so a tick's cost scales with the active subset, not the
-// population. The due set fires in member order (the StartMobility argument
-// order), which is exactly the order the dense loop visited, so positions
-// and the RNG stream are bit-identical to dense ticking at any worker
-// count.
+// exhausted, down — are parked and cost zero until their wake tick, so a
+// tick's cost scales with the active subset, not the population. A wake
+// beyond the next tick rides the simulator's event queue: one event per
+// wake tick carries that tick's batch of members into the next-tick list
+// just before the tick steps. The due set fires in member order (the
+// StartMobility argument order), which is exactly the order the dense loop
+// visited, so positions and the RNG stream are bit-identical to dense
+// ticking at any worker count.
 type Mobility struct {
 	net     *Network
 	model   MobilityModel
@@ -217,7 +219,16 @@ type Mobility struct {
 
 	nodes []*Node         // members in argument order — the canonical step order
 	index map[*Node]int32 // member -> index in nodes, for external re-arming
-	wheel *timeWheel
+	// armed is each member's authoritative wake tick (notArmed = parked).
+	armed []int64
+	// next lists the members to step at tick tickIdx+1. It may hold
+	// duplicates; stepDue keeps one entry per member armed for the tick.
+	// unsorted records a push out of member order.
+	next     []int32
+	unsorted bool
+	// batch is the most recently opened wake batch, still pending; arms
+	// for its tick join it instead of scheduling another event.
+	batch *wakeBatch
 
 	// per-tick buffers, kept across ticks.
 	due      []int32
@@ -228,6 +239,34 @@ type Mobility struct {
 	// locality-sharded planning: one bucket per worker, each holding indices
 	// into resolved. The same buckets feed commitMoves' sharded pass.
 	planBuckets [][]int32
+}
+
+// notArmed marks a parked member: no wake tick armed.
+const notArmed int64 = -1 << 62
+
+// wakeBatch is one scheduled wake tick's members. Its event fires at that
+// tick's instant, before the tick's own Mobility event (armed in an earlier
+// tick, it holds the lower sequence number), and moves each member still
+// armed for the tick into the next-tick list.
+type wakeBatch struct {
+	m       *Mobility
+	tick    int64
+	members []int32
+}
+
+func (b *wakeBatch) fire() {
+	m := b.m
+	if m.batch == b {
+		m.batch = nil
+	}
+	if !m.active {
+		return
+	}
+	for _, i := range b.members {
+		if m.armed[i] == b.tick {
+			m.push(i)
+		}
+	}
 }
 
 // stepPlan is one node's phase-1 output, committed in phase 2.
@@ -262,7 +301,10 @@ func (n *Network) StartMobility(model MobilityModel, tick time.Duration, nodeIDs
 		m.nodes = append(m.nodes, node)
 		model.Init(n, node)
 	}
-	m.wheel = newTimeWheel(len(m.nodes))
+	m.armed = make([]int64, len(m.nodes))
+	for i := range m.armed {
+		m.armed[i] = notArmed
+	}
 	for i, node := range m.nodes {
 		m.arm(int32(i), node)
 	}
@@ -298,25 +340,55 @@ func (m *Mobility) slotFor(at time.Duration) int64 {
 // wake. A model without Quiescer arms every tick — the dense loop.
 func (m *Mobility) arm(i int32, node *Node) {
 	if m.quiesce == nil {
-		m.wheel.arm(i, m.tickIdx+1)
+		m.wake(i, m.tickIdx+1)
 		return
 	}
 	due, ok := m.quiesce.NextDue(node, m.net.sim.Now())
 	if !ok {
 		return
 	}
-	m.wheel.arm(i, m.slotFor(due))
+	m.wake(i, m.slotFor(due))
+}
+
+// wake arms member i for tick. Earliest wins: arming a member already due
+// sooner is a no-op, and arming it earlier leaves its later entry stale.
+// The next tick goes straight onto the next-tick list; a later tick joins
+// that tick's wake batch.
+func (m *Mobility) wake(i int32, tick int64) {
+	if cur := m.armed[i]; cur != notArmed && cur <= tick {
+		return
+	}
+	m.armed[i] = tick
+	if tick == m.tickIdx+1 {
+		m.push(i)
+		return
+	}
+	b := m.batch
+	if b == nil || b.tick != tick {
+		b = &wakeBatch{m: m, tick: tick}
+		m.net.sim.Schedule(m.start+time.Duration(tick)*m.tick-m.net.sim.Now(), b.fire)
+		m.batch = b
+	}
+	b.members = append(b.members, i)
+}
+
+// push appends member i to the next-tick list, noting an out-of-order push.
+func (m *Mobility) push(i int32) {
+	if k := len(m.next); k > 0 && m.next[k-1] > i {
+		m.unsorted = true
+	}
+	m.next = append(m.next, i)
 }
 
 // nodeUp re-arms a member that just came back up (churn rejoin, duty-cycle
 // wake): a down node that fired while parked is skipped without re-arming,
-// so the external wake is what puts it back on the wheel.
+// so the external wake is what puts it back on the next-tick list.
 func (m *Mobility) nodeUp(node *Node) {
 	if !m.active {
 		return
 	}
 	if i, ok := m.index[node]; ok {
-		m.wheel.arm(i, m.tickIdx+1)
+		m.wake(i, m.tickIdx+1)
 	}
 }
 
@@ -324,13 +396,24 @@ func (m *Mobility) nodeUp(node *Node) {
 // parked (nodeUp re-arms them on rejoin); everything stepped is re-armed
 // for its next due tick afterwards.
 func (m *Mobility) stepDue() {
-	m.due = m.wheel.collect(m.tickIdx, m.due[:0])
+	m.due, m.next = m.next, m.due[:0]
 	if len(m.due) == 0 {
 		return
+	}
+	if m.unsorted {
+		slices.Sort(m.due)
+		m.unsorted = false
 	}
 	m.resolved = m.resolved[:0]
 	m.resIdx = m.resIdx[:0]
 	for _, i := range m.due {
+		// Skip duplicates: a member batched twice for this tick (a rejoin
+		// re-armed it for the tick it already waited on) is pushed twice,
+		// and the first copy disarmed it.
+		if m.armed[i] != m.tickIdx {
+			continue
+		}
+		m.armed[i] = notArmed
 		if node := m.nodes[i]; node.Up {
 			m.resolved = append(m.resolved, node)
 			m.resIdx = append(m.resIdx, i)
@@ -420,7 +503,8 @@ func (m *Mobility) bucketByRegion(w int) [][]int32 {
 	return buckets
 }
 
-// Stop halts movement. Safe to call more than once.
+// Stop halts movement. Safe to call more than once. Wake events still
+// pending fire as no-ops.
 func (m *Mobility) Stop() {
 	m.active = false
 	if m.event != nil {

@@ -235,8 +235,9 @@ type Network struct {
 	// parallel warm of every cache when workers > 1.
 	epochMisses int
 	// wakers are the mobility controllers to notify when a down node comes
-	// back up: a node parked on the sparse tick wheel while down must be
-	// re-armed on rejoin (churn, duty cycle) instead of sleeping forever.
+	// back up: a node whose wake tick passed while it was down is parked,
+	// and must be re-armed on rejoin (churn, duty cycle) instead of
+	// sleeping forever.
 	wakers []*Mobility
 	// crossers and moveFlags are reusable classification buffers for the
 	// batched move commit (see commitMoves in parallel.go): region crossers
@@ -366,8 +367,8 @@ func (n *Network) SetHandler(id string, h Handler) {
 }
 
 // SetUp marks a node up or down. Down nodes neither send nor receive. A
-// node coming up re-arms on every attached mobility wheel, so a rejoin
-// resumes movement even if the node was parked as quiescent while down.
+// node coming up is armed for the next tick of every attached Mobility, so
+// a rejoin resumes movement even if the node was parked while down.
 func (n *Network) SetUp(id string, up bool) {
 	if node := n.nodes[id]; node != nil && node.Up != up {
 		node.Up = up

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// densePlanner re-exposes a Planner with its Quiescer hidden: under it the
-// wheel arms every member every tick, which is exactly the pre-wheel dense
+// densePlanner re-exposes a Planner with its Quiescer hidden: under it
+// Mobility arms every member every tick, which is exactly the dense
 // per-node loop. The oracle tests run the same seeded world under the real
 // model and under the dense wrapper and demand bit-identical results.
 type densePlanner struct{ p Planner }
@@ -67,10 +67,10 @@ func wheelWorld(n, workers int, model MobilityModel, churn bool, ticks int) stri
 }
 
 // TestTimeWheelMatchesDenseTickOracle is the engine-level differential: 1k
-// ticks of every mobility model under the sparse time-wheel must be
-// bit-identical — positions, epochs, neighbor sets and the RNG stream — to
-// the dense per-node loop the wheel replaced, at both worker counts, with
-// and without churn crossing the quiescent windows.
+// ticks of every mobility model under sparse ticking (parked members woken
+// by scheduler events) must be bit-identical — positions, epochs, neighbor
+// sets and the RNG stream — to the dense per-node loop, at both worker
+// counts, with and without churn crossing the quiescent windows.
 func TestTimeWheelMatchesDenseTickOracle(t *testing.T) {
 	waypoint := func() MobilityModel {
 		return &RandomWaypoint{FieldW: 400, FieldH: 400, SpeedMin: 1, SpeedMax: 5, Pause: 9 * time.Second}
@@ -96,7 +96,7 @@ func TestTimeWheelMatchesDenseTickOracle(t *testing.T) {
 				sparse := wheelWorld(200, workers, tc.model(), tc.churn, 1000)
 				dense := wheelWorld(200, workers, hideQuiescer(tc.model()), tc.churn, 1000)
 				if sparse != dense {
-					t.Fatal("wheel engine diverged from dense per-node oracle (fingerprints differ)")
+					t.Fatal("sparse ticking diverged from dense per-node oracle (fingerprints differ)")
 				}
 			})
 		}
@@ -105,8 +105,8 @@ func TestTimeWheelMatchesDenseTickOracle(t *testing.T) {
 
 // TestWheelActuallyParks is the white-box companion: with a long pause most
 // of a waypoint crowd must be off the due set on a typical tick, and a
-// Static population must never occupy the wheel at all — otherwise the
-// oracle test above is vacuously comparing dense against dense.
+// Static population must never be armed at all — otherwise the oracle test
+// above is vacuously comparing dense against dense.
 func TestWheelActuallyParks(t *testing.T) {
 	sim := NewSim(3)
 	net := NewNetwork(sim)
@@ -120,9 +120,14 @@ func TestWheelActuallyParks(t *testing.T) {
 		FieldW: 200, FieldH: 200, SpeedMin: 10, SpeedMax: 20, Pause: 60 * time.Second,
 	}, time.Second, ids...)
 	sim.Run(120 * time.Second)
-	due := m.wheel.collect(m.tickIdx+1, nil)
-	if len(due) >= len(ids)/2 {
-		t.Fatalf("%d/%d nodes due next tick; fast-arrival long-pause crowd should be mostly parked", len(due), len(ids))
+	due := 0
+	for _, tick := range m.armed {
+		if tick == m.tickIdx+1 {
+			due++
+		}
+	}
+	if due >= len(ids)/2 {
+		t.Fatalf("%d/%d nodes due next tick; fast-arrival long-pause crowd should be mostly parked", due, len(ids))
 	}
 
 	simS := NewSim(4)
@@ -130,13 +135,13 @@ func TestWheelActuallyParks(t *testing.T) {
 	netS.AddNode("s", Position{}, AdHoc)
 	ms := netS.StartMobility(Static{}, time.Second, "s")
 	simS.Run(10 * time.Second)
-	if got := ms.wheel.armedAt(0); got != wheelIdle {
-		t.Fatalf("static node armed at slot %d, want parked", got)
+	if got := ms.armed[0]; got != notArmed {
+		t.Fatalf("static node armed at tick %d, want parked", got)
 	}
 }
 
 // TestRejoinWhileQuiescent pins the latent bug class the waker registry
-// fixes: a node that is down when its wheel slot fires is skipped and
+// fixes: a node that is down when its wake tick fires is skipped and
 // parked, so without an explicit wake on SetUp(up=true) it would sleep
 // forever after rejoining — silently frozen in a way only a position trace
 // would reveal. The dense loop never had the bug (it polled every node
@@ -158,13 +163,13 @@ func TestRejoinWhileQuiescent(t *testing.T) {
 	}
 	net.SetUp("a", false)
 	sim.RunFor(20 * time.Second) // the pause-end wake fires while down
-	if got := m.wheel.armedAt(0); got != wheelIdle {
-		t.Fatalf("down node still armed at slot %d after its wake fired, want parked", got)
+	if got := m.armed[0]; got != notArmed {
+		t.Fatalf("down node still armed at tick %d after its wake fired, want parked", got)
 	}
 	pos := node.Pos()
 	net.SetUp("a", true)
-	if got := m.wheel.armedAt(0); got == wheelIdle {
-		t.Fatal("rejoin did not re-arm the parked node on the wheel")
+	if got := m.armed[0]; got != m.tickIdx+1 {
+		t.Fatalf("rejoin armed the parked node at tick %d, want the next tick %d", got, m.tickIdx+1)
 	}
 	sim.RunFor(5 * time.Second)
 	if node.Pos() == pos {

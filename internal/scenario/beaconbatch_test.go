@@ -12,7 +12,7 @@ import (
 // beacons: a node whose beacon batch keeps firing while it is churned down
 // must (a) not leak beacons into the field while down, (b) decay out of its
 // neighbors' caches by TTL, and (c) on SetUp(true) resume both moving (the
-// mobility waker re-arms its parked wheel slot) and beaconing (the shared
+// mobility waker re-arms the parked node for the next tick) and beaconing (the shared
 // batch tick picks it up again — no per-host timer exists to restart).
 func TestBeaconBatchChurnRejoin(t *testing.T) {
 	const ivl = 5 * time.Second

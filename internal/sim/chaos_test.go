@@ -81,8 +81,8 @@ func TestChaosWorkersDifferential(t *testing.T) {
 			}},
 		}},
 		{"blackout", scenario.Faults{}}, // zero = keep T13's own full schedule
-		// The metropolis under adversity: churn parks and wakes wheel-ticked
-		// residents mid-dwell while a partition splits the district lattice —
+		// The metropolis under adversity: churn parks and wakes sparsely
+		// ticked residents mid-dwell while a partition splits the district lattice —
 		// the sparse engine's rejoin/wake paths under the same byte-identical
 		// contract.
 		{"metropolis", scenario.Faults{

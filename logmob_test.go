@@ -1,6 +1,14 @@
 package logmob_test
 
 import (
+	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,4 +163,175 @@ func TestFacadeRegistry(t *testing.T) {
 	if !r.Has("c") {
 		t.Error("registry lost the unit")
 	}
+}
+
+// TestFacadeOverTCP runs a Client/Server call between two facade hosts on
+// real loopback sockets: ListenTCP and NewWallScheduler are the facade's
+// route to the TCP transport.
+func TestFacadeOverTCP(t *testing.T) {
+	mk := func() *logmob.Host {
+		ep, err := logmob.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := logmob.NewHost(logmob.HostConfig{Endpoint: ep, Scheduler: logmob.NewWallScheduler()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		return h
+	}
+	server, client := mk(), mk()
+	server.RegisterService("echo", func(from string, args [][]byte) ([][]byte, error) { return args, nil })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := client.CallSync(ctx, server.Addr(), "echo", [][]byte{[]byte("over tcp")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || string(got[0]) != "over tcp" {
+		t.Fatalf("echo over TCP = %q", got)
+	}
+}
+
+// TestFacadeSymbolsAreNamed keeps the facade to the names its callers use:
+// every exported symbol in logmob.go must be named as logmob.X somewhere
+// under examples/ or cmd/ or in a root _test.go file, or be referenced by
+// another kept declaration in logmob.go (a parameter or result type of a
+// kept function, say). An unnamed symbol is surface nobody exercises.
+func TestFacadeSymbolsAreNamed(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "logmob.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := facadeDecls(facade)
+
+	var callers []string
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				callers = append(callers, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers = append(callers, tests...)
+
+	kept := map[string]bool{}
+	var work []string
+	use := func(name string) {
+		if _, ok := decls[name]; ok && !kept[name] {
+			kept[name] = true
+			work = append(work, name)
+		}
+	}
+	for _, path := range callers {
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"logmob"` {
+				pkg = "logmob"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			continue
+		}
+		if f, err = parser.ParseFile(fset, path, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+					use(sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	// A kept declaration keeps every facade name it references unqualified.
+	for len(work) > 0 {
+		name := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, n := range decls[name] {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					ast.Inspect(n.X, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							use(id.Name)
+						}
+						return true
+					})
+					return false
+				case *ast.Ident:
+					use(n.Name)
+				}
+				return true
+			})
+		}
+	}
+
+	var unnamed []string
+	for name := range decls {
+		if !kept[name] {
+			unnamed = append(unnamed, name)
+		}
+	}
+	sort.Strings(unnamed)
+	if len(unnamed) > 0 {
+		t.Errorf("%d of %d facade symbols are named by no example, command or root test: %s",
+			len(unnamed), len(decls), strings.Join(unnamed, ", "))
+	}
+}
+
+// facadeDecls maps each exported top-level name in f to the syntax its
+// declaration references: a type's definition, a value's type and
+// initialiser, a function's signature and body.
+func facadeDecls(f *ast.File) map[string][]ast.Node {
+	decls := map[string][]ast.Node{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				decls[d.Name.Name] = []ast.Node{d.Type, d.Body}
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						decls[s.Name.Name] = []ast.Node{s.Type}
+					}
+				case *ast.ValueSpec:
+					var refs []ast.Node
+					if s.Type != nil {
+						refs = append(refs, s.Type)
+					}
+					for _, v := range s.Values {
+						refs = append(refs, v)
+					}
+					for _, id := range s.Names {
+						if id.IsExported() {
+							decls[id.Name] = refs
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls
 }
